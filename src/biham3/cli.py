@@ -96,6 +96,8 @@ def _cmd_catalog(args):
 
 
 def _cmd_verify(args):
+    if args.samples < 1:
+        raise _Usage(f"--samples must be at least 1, got {args.samples}")
     defn = _resolve_system(args.system, _parse_params(args.param))
     cfg = SampleConfig(n=args.samples, seed=args.seed, tol=args.tol)
     report = verify_structure(defn, cfg)
@@ -122,17 +124,20 @@ def _cmd_simulate(args):
         else:
             raise _Usage(f"unknown or unavailable monitor {name!r}")
 
-    cfg = IntegratorConfig(
-        t0=args.t0,
-        t1=args.t1,
-        y0=init,
-        method=args.method,
-        step=args.step,
-        rtol=args.tol,
-        atol=args.tol,
-        max_step=args.max_step,
-        sample_dt=args.sample_dt,
-    )
+    try:
+        cfg = IntegratorConfig(
+            t0=args.t0,
+            t1=args.t1,
+            y0=init,
+            method=args.method,
+            step=args.step,
+            rtol=args.tol,
+            atol=args.tol,
+            max_step=args.max_step,
+            sample_dt=args.sample_dt,
+        )
+    except IntegrationError as err:
+        raise _Usage(str(err))
     traj = integrate(defn.bound_field(), cfg, monitors=monitors)
     _write(traj.to_csv(), args.out)
     if not traj.ok():

@@ -224,7 +224,7 @@ def _coeff_expr(coeffs, basis):
         if c == 0.0:
             continue
         frac = Fraction(c).limit_denominator(10**4)
-        cc = ex.con(frac) if abs(float(frac) - c) <= 1e-12 * max(1.0, abs(c)) else ex.con(c)
+        cc = ex.con(frac) if abs(float(frac) - c) <= 1e-12 * max(1.0, abs(c)) else ex.con(float(c))
         terms.append(ex.mul(cc, b.expr))
     return ex.add(*terms) if terms else ex.ZERO
 

@@ -1,18 +1,33 @@
 """Numerical integration of (possibly non-autonomous) 3D flows.
 
 Two schemes: classical fixed-step RK4 and an adaptive Dormand-Prince
-5(4) pair [1] with PI step-size control, FSAL reuse, and fourth-order
-dense output evaluated at the requested sample grid.  Conserved
-quantities are tracked through per-sample monitor functions; explicit
-time-derivative integrals (for the non-autonomous Hamiltonians) are
-accumulated as extra quadrature states so that their accuracy follows
-the step-error control.
+5(4) pair [1] with PI step-size control [2], FSAL reuse, and
+fourth-order dense output evaluated at the requested sample grid.
+Conserved quantities are tracked through per-sample monitor functions;
+explicit time-derivative integrals (for the non-autonomous
+Hamiltonians) are accumulated as extra quadrature states so that their
+accuracy follows the step-error control.
+
+The adaptive loop is generated Python source, one kernel per state
+dimension (3 plus the number of quadratures), built with ``exec`` once
+per :func:`integrate` or :func:`ensemble` call and never at import.  It
+unrolls the seven stages, the fifth-order update, the error norm and
+the dense output over scalar locals, calls the compiled right-hand side
+once per stage with positional scalars, and evaluates the seven
+dense-output weights once per sample.  It performs the same float
+operations in the same order as the generic stage loop it replaced
+(``sum()`` over the tableau rows, zero coefficients included), so
+trajectories, monitors and step counts are bit-identical to that loop's;
+``tests/test_integrate.py`` pins their digests.  An ensemble compiles
+the right-hand side, the monitors and the kernel once for all members.
 
 Everything here is deterministic: no randomness, fixed evaluation
 order, plain Python floats.  Identical configurations produce
 bit-identical trajectories.
 
 [1] Dormand & Prince, J. Comp. Appl. Math. 6 (1980) 19-26.
+[2] Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
+    2nd ed., Springer 1993, section II.4.
 """
 
 from __future__ import annotations
@@ -61,6 +76,8 @@ _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 
+_RHS_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
 
 class IntegrationError(Exception):
     pass
@@ -80,14 +97,27 @@ class IntegratorConfig:
     sample_dt: float = 0.01
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise IntegrationError("t0 and t1 must be finite")
+        if len(self.y0) != 3:
+            raise IntegrationError("initial state must have three components")
+        if not all(math.isfinite(c) for c in self.y0):
+            raise IntegrationError("initial state must be finite")
         if self.t1 <= self.t0:
             raise IntegrationError("t1 must exceed t0")
         if self.method not in ("adaptive", "rk4"):
             raise IntegrationError(f"unknown method {self.method!r}")
         if self.method == "rk4" and not self.step:
             raise IntegrationError("rk4 needs a step size")
-        if self.method == "adaptive" and (self.rtol <= 0 or self.atol <= 0):
-            raise IntegrationError("tolerances must be positive")
+        # the sizes the chosen method reads
+        if self.method == "rk4":
+            sizes = ("step",)
+        else:
+            sizes = ("rtol", "atol", "max_step", "min_step", "sample_dt")
+        for name in sizes:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise IntegrationError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -116,18 +146,10 @@ class Trajectory:
 
 
 def _compile_rhs(X: VectorField3, quadratures):
-    names = X.frame + (X.time,)
-    fs = ex.compile_vector([c.expr for c in X.components], names)
-    qs = [ex.compile_fn(q.expr, names) for q in quadratures]
-    if not qs:
-        return lambda t, y: fs(y[0], y[1], y[2], t)
-
-    def rhs(t, y):
-        u, v, w = y[0], y[1], y[2]
-        base = fs(u, v, w, t)
-        return base + tuple(q(u, v, w, t) for q in qs)
-
-    return rhs
+    """One ``f(u, v, w, t)`` returning the field components followed by
+    the quadrature integrands."""
+    exprs = [c.expr for c in X.components] + [q.expr for q in quadratures]
+    return ex.compile_vector(exprs, X.frame + (X.time,))
 
 
 def _compile_monitors(monitors, frame, time):
@@ -142,43 +164,61 @@ def integrate(X: VectorField3, cfg: IntegratorConfig, monitors=None, quadratures
     ``quadratures`` maps name -> ScalarField whose time integral is
     carried as an extra state (reported per sample, starting at 0).
 
-    Step underflow or a non-finite state aborts with the partial
-    trajectory and a reason in ``Trajectory.aborted``.
+    Step underflow, a failing right-hand side or a non-finite derivative
+    or state aborts with the partial trajectory and a reason in
+    ``Trajectory.aborted``.
+    """
+    return ensemble(X, [cfg], monitors, quadratures)[0]
+
+
+def ensemble(X, configs, monitors=None, quadratures=None):
+    """Independent trajectories, sequential and deterministic; a failure
+    in one trajectory is isolated in its own Trajectory.aborted.
+
+    The right-hand side, the monitors and the Dormand-Prince kernel are
+    built once and shared by every member; each member's trajectory is
+    the one :func:`integrate` gives for its configuration alone.
     """
     monitors = list((monitors or {}).items())
     quadratures = list((quadratures or {}).items())
     rhs = _compile_rhs(X, [sf for _, sf in quadratures])
     mons = _compile_monitors(monitors, X.frame, X.time)
-    traj = Trajectory(frame=X.frame)
-    for name, _ in mons:
-        traj.monitors[name] = []
-    for name, _ in quadratures:
-        traj.quadratures[name] = []
+    dim = 3 + len(quadratures)
+    kernel = _dopri_kernel(dim) if any(c.method == "adaptive" for c in configs) else None
+    quad_names = [name for name, _ in quadratures]
+    return [_run(X.frame, rhs, mons, quad_names, kernel, cfg) for cfg in configs]
+
+
+def _run(frame, rhs, mons, quad_names, kernel, cfg):
+    traj = Trajectory(frame=frame)
+    quads = [traj.quadratures.setdefault(name, []) for name in quad_names]
 
     def emit(t, y):
         traj.times.append(t)
         traj.states.append(tuple(y[:3]))
-        for (name, f) in mons:
-            traj.monitors[name].append(f(y[0], y[1], y[2], t))
-        for k, (name, _) in enumerate(quadratures):
-            traj.quadratures[name].append(y[3 + k])
+        for q, c in zip(quads, y[3:]):
+            q.append(c)
 
-    y = tuple(cfg.y0) + (0.0,) * len(quadratures)
+    y = tuple(cfg.y0) + (0.0,) * len(quads)
     dim = len(y)
-    if not all(math.isfinite(c) for c in y):
-        raise IntegrationError("initial state must be finite")
-
+    emit(cfg.t0, y)
     if cfg.method == "rk4":
         _run_rk4(rhs, cfg, y, dim, emit, traj)
     else:
-        _run_dopri(rhs, cfg, y, dim, emit, traj)
+        h = min(cfg.max_step, (cfg.t1 - cfg.t0) / 100.0)
+        traj.accepted, traj.rejected, traj.aborted = kernel(
+            rhs, y, cfg.t0, cfg.t1, h, cfg.max_step, cfg.min_step, cfg.rtol, cfg.atol,
+            _sample_times(cfg), traj.times, traj.states, quads,
+        )
+    for name, f in mons:
+        traj.monitors[name] = [f(u, v, w, t) for t, (u, v, w) in zip(traj.times, traj.states)]
     return traj
 
 
 def _try_rhs(rhs, t, y, traj):
     try:
-        dy = rhs(t, y)
-    except (ZeroDivisionError, ValueError, OverflowError) as err:
+        dy = rhs(y[0], y[1], y[2], t)
+    except _RHS_ERRORS as err:
         traj.aborted = f"right-hand side failed at t={t:.6g}: {err}"
         return None
     if not all(math.isfinite(c) for c in dy):
@@ -192,7 +232,6 @@ def _run_rk4(rhs, cfg, y, dim, emit, traj):
     n = max(1, round(span / cfg.step))
     h = span / n
     t = cfg.t0
-    emit(t, y)
     for k in range(n):
         k1 = _try_rhs(rhs, t, y, traj)
         if k1 is None:
@@ -217,88 +256,169 @@ def _run_rk4(rhs, cfg, y, dim, emit, traj):
         emit(t, y)
 
 
-def _run_dopri(rhs, cfg, y, dim, emit, traj):
-    t = cfg.t0
-    emit(t, y)
+def _sample_times(cfg):
     n_samples = int(math.floor((cfg.t1 - cfg.t0) / cfg.sample_dt + 1e-9))
     sample_times = [cfg.t0 + (k + 1) * cfg.sample_dt for k in range(n_samples)]
     if not sample_times or sample_times[-1] < cfg.t1 - 1e-9 * max(1.0, abs(cfg.t1)):
         sample_times.append(cfg.t1)
     sample_times[-1] = min(sample_times[-1], cfg.t1)
-    next_sample = 0
+    return sample_times
 
-    h = min(cfg.max_step, (cfg.t1 - cfg.t0) / 100.0)
-    facold = 1e-4
-    k1 = _try_rhs(rhs, t, y, traj)
-    if k1 is None:
-        return
 
-    while t < cfg.t1 - 1e-14 * max(1.0, abs(cfg.t1)):
-        h = min(h, cfg.t1 - t)
-        if h < cfg.min_step:
-            traj.aborted = f"step size underflow at t={t:.6g} (h={h:.3e})"
-            return
+# ---------------------------------------------------------------------------
+# generated Dormand-Prince kernel
+#
+# The loop below is the adaptive integrator: one accepted or rejected step
+# per pass, PI step control, FSAL reuse and dense output at the sample grid.
+# It is written out as straight-line code over scalar locals for one state
+# dimension, so a step costs six right-hand-side calls plus plain float
+# arithmetic.  Each quantity takes the float operations, in the order, of the
+# per-component formulation on the left, so trajectories are bit-identical to
+# a loop written that way:
+#
+#   stage/update/error sums  sum(c[j] * K[j][i] for j)  ->  0.0 + c0 * k0_i + ...
+#     (sum() starts from the integer 0, which becomes 0.0 at the first float;
+#     zero tableau entries stay in, since 0.0 * k carries the sign of k)
+#   error norm               err = 0.0; err += (e / sc) ** 2 per component
+#   dense output             acc = 0.0; acc += K[j][i] * w_j(theta) per stage,
+#                            w_j = p0 * th + p1 * th^2 + p2 * th^3 + p3 * th^4
+#   min(a, b), max(a, b)     b if b < a else a, b if b > a else a
+#
+# A finiteness test is ``x0 * 0.0 + x1 * 0.0 + ... != 0.0``: each product is
+# a signed zero for a finite x and nan otherwise.
 
-        K = [k1]
-        failed = False
-        for s in range(1, 7):
-            ys = tuple(
-                y[i] + h * sum(_A[s][j] * K[j][i] for j in range(s))
-                for i in range(dim)
-            )
-            ks = _try_rhs(rhs, t + _C[s] * h, ys, traj)
-            if ks is None:
-                return
-            K.append(ks)
-        y5 = tuple(
-            y[i] + h * sum(_B5[j] * K[j][i] for j in range(7)) for i in range(dim)
+
+def _combo(coeffs, terms):
+    return "0.0" + "".join(f" + {c!r} * {x}" for c, x in zip(coeffs, terms))
+
+
+def _not_finite(names):
+    return " + ".join(f"{x} * 0.0" for x in names) + " != 0.0"
+
+
+def _dopri_source(dim):
+    """Source of ``dopri(f, y, t, ...)`` for ``dim`` state components.
+
+    It appends the samples after ``t`` to ``times``, ``states`` and the
+    lists in ``quads``, and returns ``(accepted, rejected, reason)`` where
+    ``reason`` is None unless the run aborted.
+    """
+    idx = range(dim)
+    ys = [f"y_{i}" for i in idx]
+    k = [[f"k{s}_{i}" for i in idx] for s in range(7)]
+    out = ["def dopri(f, y, t, t1, h, max_step, min_step, rtol, atol, samples, times, states, quads):"]
+
+    def put(depth, *lines):
+        out.extend("    " * depth + line for line in lines)
+
+    def stage(depth, s, state, time):
+        put(
+            depth,
+            f"ts = {time}",
+            "try:",
+            f"    r = f({', '.join(state[:3])}, ts)",
+            "except _RHS_ERRORS as exc:",
+            '    return accepted, rejected, f"right-hand side failed at t={ts:.6g}: {exc}"',
+            f"{', '.join(k[s])}, = r",
+            f"if {_not_finite(k[s])}:",
+            '    return accepted, rejected, f"non-finite derivative at t={ts:.6g}"',
         )
-        if not all(math.isfinite(c) for c in y5):
-            traj.aborted = f"non-finite state at t={t + h:.6g}"
-            return
 
-        err = 0.0
-        for i in range(dim):
-            e = h * sum(_E[j] * K[j][i] for j in range(7))
-            sc = cfg.atol + cfg.rtol * max(abs(y[i]), abs(y5[i]))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / dim)
+    put(
+        1,
+        f"{', '.join(ys)}, = y",
+        "times_append = times.append",
+        "states_append = states.append",
+        *(f"quad{q}_append = quads[{q}].append" for q in range(dim - 3)),
+        "accepted = rejected = 0",
+        "n_samples = len(samples)",
+        "ns = 0",
+        "facold = 1e-4",
+        "a = abs(t1)",
+        "t_end = t1 - 1e-14 * (a if a > 1.0 else 1.0)",
+    )
+    stage(1, 0, ys, "t")
+    put(
+        1,
+        "while t < t_end:",
+        "    d = t1 - t",
+        "    if d < h:",
+        "        h = d",
+        "    if h < min_step:",
+        '        return accepted, rejected, f"step size underflow at t={t:.6g} (h={h:.3e})"',
+    )
+    for s in range(1, 7):
+        z = [f"z_{i}" for i in range(3)]
+        put(2, *(f"{z[i]} = {ys[i]} + h * ({_combo(_A[s], [k[j][i] for j in range(s)])})" for i in range(3)))
+        stage(2, s, z, f"t + {_C[s]!r} * h")
+    n = [f"n_{i}" for i in idx]
+    put(2, *(f"{n[i]} = {ys[i]} + h * ({_combo(_B5, [k[j][i] for j in range(7)])})" for i in idx))
+    put(2, f"if {_not_finite(n)}:", '    return accepted, rejected, f"non-finite state at t={t + h:.6g}"')
+    for i in idx:
+        put(
+            2,
+            f"e = h * ({_combo(_E, [k[j][i] for j in range(7)])})",
+            f"a = abs({ys[i]})",
+            f"b = abs({n[i]})",
+            f"s_{i} = (e / (atol + rtol * (b if b > a else a))) ** 2",
+        )
+    put(
+        2,
+        f"err = _sqrt(({' + '.join(['0.0'] + [f's_{i}' for i in idx])}) / {dim})",
+        "if err <= 1.0:",
+        "    tn = t + h",
+        "    a = abs(tn)",
+        "    lim = tn + 1e-14 * (a if a > 1.0 else 1.0)",
+        "    while ns < n_samples and samples[ns] <= lim:",
+        "        ts = samples[ns]",
+        "        th = (ts - t) / h",
+        "        th = th if th > 0.0 else 0.0",
+        "        th = th if th < 1.0 else 1.0",
+        "        th2 = th * th",
+        "        th3 = th2 * th",
+        "        th4 = th2 * th2",
+    )
+    powers = ("th", "th2", "th3", "th4")
+    put(4, *(f"w{j} = " + " + ".join(f"{c!r} * {p}" for c, p in zip(_P[j], powers)) for j in range(7)))
+    dense = [
+        f"{ys[i]} + h * (0.0{''.join(f' + {k[j][i]} * w{j}' for j in range(7))})" for i in idx
+    ]
+    put(
+        4,
+        "times_append(t1 if t1 < ts else ts)",
+        f"states_append(({', '.join(dense[:3])}))",
+        *(f"quad{q}_append({dense[3 + q]})" for q in range(dim - 3)),
+        "ns += 1",
+    )
+    put(
+        3,
+        "accepted += 1",
+        "t = tn",
+        *(f"{ys[i]} = {n[i]}" for i in idx),
+        *(f"{k[0][i]} = {k[6][i]}" for i in idx),
+        f"fac = {_SAFETY!r} * err ** -0.17 * facold ** 0.04 if err > 0 else {_FAC_MAX!r}",
+        f"fac = fac if fac > {_FAC_MIN!r} else {_FAC_MIN!r}",
+        f"fac = fac if fac < {_FAC_MAX!r} else {_FAC_MAX!r}",
+        "facold = 1e-4 if 1e-4 > err else err",
+        "hn = h * fac",
+        "h = hn if hn < max_step else max_step",
+    )
+    put(
+        2,
+        "else:",
+        "    rejected += 1",
+        f"    fac = {_SAFETY!r} * err ** -0.2",
+        f"    fac = fac if fac > {_FAC_MIN!r} else {_FAC_MIN!r}",
+        "    h = h * (fac if fac < 1.0 else 1.0)",
+    )
+    put(1, "return accepted, rejected, None")
+    return "\n".join(out) + "\n"
 
-        if err <= 1.0:
-            # dense output over (t, t+h]
-            while next_sample < len(sample_times) and sample_times[next_sample] <= t + h + 1e-14 * max(1.0, abs(t + h)):
-                ts = sample_times[next_sample]
-                theta = min(1.0, max(0.0, (ts - t) / h))
-                ydense = _dense(y, K, h, theta, dim)
-                emit(min(ts, cfg.t1), ydense)
-                next_sample += 1
-            traj.accepted += 1
-            t = t + h
-            y = y5
-            k1 = K[6]  # FSAL
-            fac = _SAFETY * err ** (-0.17) * facold**0.04 if err > 0 else _FAC_MAX
-            fac = min(_FAC_MAX, max(_FAC_MIN, fac))
-            facold = max(err, 1e-4)
-            h = min(cfg.max_step, h * fac)
-        else:
-            traj.rejected += 1
-            fac = _SAFETY * err ** (-0.2)
-            h = h * min(1.0, max(_FAC_MIN, fac))
 
-
-def _dense(y, K, h, theta, dim):
-    th2 = theta * theta
-    powers = (theta, th2, th2 * theta, th2 * th2)
-    out = []
-    for i in range(dim):
-        acc = 0.0
-        for j in range(7):
-            pj = _P[j]
-            acc += K[j][i] * (
-                pj[0] * powers[0] + pj[1] * powers[1] + pj[2] * powers[2] + pj[3] * powers[3]
-            )
-        out.append(y[i] + h * acc)
-    return tuple(out)
+def _dopri_kernel(dim):
+    namespace = {"_RHS_ERRORS": _RHS_ERRORS, "_sqrt": math.sqrt}
+    exec(_dopri_source(dim), namespace)
+    return namespace["dopri"]
 
 
 def convergence_order(X, t0, t1, y0, exact, steps):
@@ -317,9 +437,3 @@ def convergence_order(X, t0, t1, y0, exact, steps):
         errors.append(err)
     slope = np.polyfit(np.log(np.asarray(steps)), np.log(np.asarray(errors)), 1)[0]
     return float(slope)
-
-
-def ensemble(X, configs, monitors=None, quadratures=None):
-    """Independent trajectories, sequential and deterministic; a failure
-    in one trajectory is isolated in its own Trajectory.aborted."""
-    return [integrate(X, cfg, monitors, quadratures) for cfg in configs]

@@ -114,6 +114,38 @@ def test_simulate_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--method", "rk4", "--step", "-0.1"], "step must be positive"),
+        (["--method", "rk4", "--step", "nan"], "step must be positive"),
+        (["--sample-dt", "0"], "sample_dt must be positive"),
+        (["--max-step", "-1"], "max_step must be positive"),
+        (["--tol", "nan"], "rtol must be positive"),
+        (["--t0", "nan"], "must be finite"),
+        (["--init", "nan,1,1"], "initial state must be finite"),
+    ],
+)
+def test_simulate_rejects_bad_sizes(tmp_path, capsys, flags, message):
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run(
+        ["simulate", "lu-transformed", "--init", "1,1,1", "--t1", "1", *flags,
+         "--out", str(out_csv)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and not out_csv.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_non_positive_samples(capsys, samples):
+    code, out, err = run(["verify", "qi", "--samples", samples], capsys)
+    assert code == 2
+    assert err == f"error: --samples must be at least 1, got {samples}\n"
+    assert out == ""
+
+
 def test_discover_cli(tmp_path, capsys):
     out = tmp_path / "disc.json"
     code, _, _ = run(
@@ -126,6 +158,19 @@ def test_discover_cli(tmp_path, capsys):
         "1/2*(v^2 + w^2)": True,
         "-w + 1/2*u^2": True,
     }
+
+
+def test_discover_with_a_non_snapping_coefficient(tmp_path, capsys):
+    # at this seed a sparsified coefficient does not snap to a rational
+    out = tmp_path / "disc.json"
+    code, _, err = run(
+        ["discover", "modified-lu", "--degree", "4", "--weights=-2..0", "--functional",
+         "spatial", "--seed", "506909420", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0, err
+    data = json.loads(out.read_text())
+    assert data["seed"] == 506909420 and data["candidates"]
 
 
 def test_bracket_prints_constant(capsys):

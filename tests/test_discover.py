@@ -112,6 +112,20 @@ def test_multiplier_vanishing_flag():
     assert "vanishes-on-domain" not in by_expr["1"].flags
 
 
+def test_coeff_expr_keeps_a_non_snapping_float64():
+    # numpy 2 reprs a float64 as 'np.float64(...)', which Fraction rejects;
+    # a coefficient that does not snap to a small rational must still convert
+    from fractions import Fraction
+
+    from biham3.discover import _coeff_expr
+
+    basis = build_basis(1, UVW)
+    coeffs = np.zeros(len(basis))
+    coeffs[1] = 1.0000000000048284
+    e = _coeff_expr(coeffs, basis)
+    assert e == ex.mul(ex.con(Fraction("1.0000000000048284")), parse("w"))
+
+
 def test_soundness_and_reproducibility():
     d = cat.instantiate("lu-transformed")
     basis = build_basis(2, UVW)

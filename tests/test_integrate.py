@@ -7,6 +7,7 @@ coordinates growing like exp(t), so H1 stays O(1) while its terms reach
 1e17 and absolute drift at roundoff scale is unavoidable.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -240,3 +241,174 @@ def test_config_validation():
         IntegratorConfig(t0=0.0, t1=1.0, y0=(0, 0, 0), method="rk4")
     with pytest.raises(IntegrationError):
         IntegratorConfig(t0=0.0, t1=1.0, y0=(0, 0, 0), rtol=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"method": "rk4", "step": -0.1},
+        {"method": "rk4", "step": math.inf},
+        {"sample_dt": 0.0},
+        {"sample_dt": math.nan},
+        {"max_step": -1.0},
+        {"min_step": 0.0},
+        {"atol": math.nan},
+        {"t1": math.inf},
+        {"t0": math.nan},
+        {"y0": (0.0, math.inf, 0.0)},
+        {"y0": (0.0, 0.0)},
+    ],
+)
+def test_config_rejects_non_positive_or_non_finite_sizes(kwargs):
+    args = {"t0": 0.0, "t1": 1.0, "y0": (0.0, 0.0, 0.0), **kwargs}
+    with pytest.raises(IntegrationError, match="must"):
+        IntegratorConfig(**args)
+
+
+def test_config_ignores_sizes_the_method_does_not_read():
+    cfg = IntegratorConfig(t0=0.0, t1=1.0, y0=(0.0, 0.0, 0.0), method="rk4", step=0.1, sample_dt=0.0)
+    assert integrate(HARMONIC, cfg).ok()
+
+
+# ---------------------------------------------------------------------------
+# golden bits: digests recorded with the generic stage loop that preceded the
+# generated Dormand-Prince kernel; the kernel must reproduce them exactly
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bits(traj):
+    """CSV digest (times, states and monitors at full precision), step
+    counts, sample count and abort reason."""
+    return _sha(traj.to_csv()), traj.accepted, traj.rejected, len(traj.times), traj.aborted
+
+
+def test_golden_lu_transformed_with_both_monitors():
+    d = cat.instantiate("lu-transformed")
+    cfg = IntegratorConfig(t0=0.0, t1=20.0, y0=(1.0, 1.0, 1.0))
+    traj = integrate(
+        d.bound_field(), cfg, monitors={"H1": d.bound_scalar(d.h1), "H2": d.bound_scalar(d.h2)}
+    )
+    assert _bits(traj) == (
+        "841797f892e3cf157040b26d8765801aa25984dd04f73c2652cba18b077ea3ee", 628, 1, 2001, None
+    )
+
+
+def test_golden_qi_non_autonomous():
+    d = cat.instantiate("qi", gamma=2)
+    cfg = IntegratorConfig(t0=0.0, t1=5.0, y0=(1.0, 1.0, 1.0))
+    traj = integrate(
+        d.bound_field(), cfg, monitors={"H1": d.bound_scalar(d.h1), "H2": d.bound_scalar(d.h2)}
+    )
+    assert _bits(traj) == (
+        "82971a77dcf507bd1022a2477932fc0c17f48bfe72295bff1e37959315a3a36f", 195, 1, 501, None
+    )
+
+
+def _chen_variant_quadrature():
+    d = cat.instantiate("chen-variant")
+    h2 = d.bound_scalar(d.h2)
+    dh2dt = ScalarField(ex.differentiate(h2.expr, "t"), h2.frame, h2.time)
+    return d, {"F1": d.bound_scalar(d.h1), "F2": h2}, {"int_dF2": dh2dt}
+
+
+def test_golden_chen_variant_with_quadrature():
+    d, monitors, quads = _chen_variant_quadrature()
+    cfg = IntegratorConfig(t0=0.0, t1=2.0, y0=(0.1, 0.1, 0.1))
+    traj = integrate(d.bound_field(), cfg, monitors=monitors, quadratures=quads)
+    assert _bits(traj) == (
+        "7c17977f5d7f6f1ad1c07a6225ff183e3f8ac0b601eb3cdc69d842cc42ecc195", 61, 0, 201, None
+    )
+    assert _sha(",".join(v.hex() for v in traj.quadratures["int_dF2"])) == (
+        "1aaf12be3a84a2eeb019af52fad9bed0091b84b1b1a4ce4dca58d4ee25b91b1a"
+    )
+
+
+def test_golden_chen_variant_underflow_abort():
+    d = cat.instantiate("chen-variant")
+    cfg = IntegratorConfig(t0=0.0, t1=20.0, y0=(1.0, 1.0, 1.0))
+    traj = integrate(d.bound_field(), cfg, monitors={"F1": d.bound_scalar(d.h1)})
+    assert _bits(traj) == (
+        "59135b0aa2637b23c21fb16b225cfbf788d9fc56dc38bb0d38836b11cff22a10",
+        1760,
+        1,
+        218,
+        "step size underflow at t=2.17061 (h=9.971e-14)",
+    )
+
+
+def test_ensemble_equals_integrate_field_by_field():
+    d, monitors, quads = _chen_variant_quadrature()
+    X = d.bound_field()
+    cfgs = [
+        IntegratorConfig(t0=0.0, t1=1.0, y0=(0.1, 0.1, 0.1)),
+        IntegratorConfig(t0=0.0, t1=20.0, y0=(1.0, 1.0, 1.0)),  # aborts
+        IntegratorConfig(t0=0.5, t1=1.5, y0=(0.2, -0.1, 0.3), rtol=1e-8, atol=1e-9),
+        IntegratorConfig(t0=0.0, t1=1.0, y0=(0.1, 0.2, 0.3), method="rk4", step=0.01),
+    ]
+    out = ensemble(X, cfgs, monitors=monitors, quadratures=quads)
+    assert out == [integrate(X, c, monitors=monitors, quadratures=quads) for c in cfgs]
+    assert [tr.ok() for tr in out] == [True, False, True, True]
+
+
+# ---------------------------------------------------------------------------
+# abort paths: message and partial trajectory, recorded as above
+
+LN_FIELD = VectorField3.from_exprs([parse("-1"), parse("0"), parse("ln(u)")], UVW)
+# 1e300*u overflows once u > 1.8e8 (t ~ 19); times v = 0 that is nan
+NAN_FIELD = VectorField3.from_exprs([parse("u"), parse("0"), parse("1e300*u*v")], UVW)
+HUGE_FIELD = VectorField3.from_exprs([parse("1e308"), parse("0"), parse("0")], UVW)
+
+
+@pytest.mark.parametrize(
+    "field,t1,y0,step,bits",
+    [
+        (
+            LN_FIELD, 2.0, (1.0, 0.0, 0.0), None,
+            ("254e9bdb3286e844a4a16ec072b3fa9d394473b33bc25227c9c88f0ba5fd46e1", 68, 36, 100,
+             "right-hand side failed at t=1: math domain error"),
+        ),
+        (
+            LN_FIELD, 2.0, (1.0, 0.0, 0.0), 0.1,
+            ("881857f116bae54bc78c11aad8469e826cd1f52f63015066e148d8b9a692b1e3", 10, 0, 11,
+             "right-hand side failed at t=1.05: math domain error"),
+        ),
+        (
+            NAN_FIELD, 30.0, (1.0, 0.0, 0.0), None,
+            ("a05f9b9cf2171523f7982df7b07586485ffc5ded2836e16d831fbe8d487ef45f", 472, 1, 1898,
+             "non-finite derivative at t=19.0105"),
+        ),
+        (
+            NAN_FIELD, 30.0, (1.0, 0.0, 0.0), 0.1,
+            ("16059f6ffe46083021766ba86c00c7f6d8b475ebc0ddd0ad06a26109f57c3532", 190, 0, 191,
+             "non-finite derivative at t=19.05"),
+        ),
+        (
+            HUGE_FIELD, 3.0, (0.0, 0.0, 0.0), None,
+            ("ebea50fa22ac22eb42b1218c557b358ae34cda81b1e632770d97a69f9fdc2894", 18, 0, 174,
+             "non-finite state at t=1.83"),
+        ),
+        (
+            HUGE_FIELD, 3.0, (0.0, 0.0, 0.0), 0.1,
+            ("075de1598e7b2ca681d17fd96fd7ff634e025d82634b00b7ce34085d0b25c907", 0, 0, 1,
+             "non-finite state at t=0.1"),
+        ),
+    ],
+    ids=["ln-adaptive", "ln-rk4", "nan-adaptive", "nan-rk4", "overflow-adaptive", "overflow-rk4"],
+)
+def test_abort_paths_keep_partial_trajectory(field, t1, y0, step, bits):
+    method = "adaptive" if step is None else "rk4"
+    cfg = IntegratorConfig(t0=0.0, t1=t1, y0=y0, method=method, step=step)
+    traj = integrate(field, cfg)
+    assert _bits(traj) == bits
+    assert all(math.isfinite(c) for s in traj.states for c in s)
+
+
+def test_rhs_failure_at_the_initial_state():
+    cfg = IntegratorConfig(t0=0.0, t1=1.0, y0=(-1.0, 0.0, 0.0))
+    traj = integrate(LN_FIELD, cfg)
+    assert traj.aborted == "right-hand side failed at t=0: math domain error"
+    assert traj.times == [0.0] and traj.states == [(-1.0, 0.0, 0.0)]
+    assert (traj.accepted, traj.rejected) == (0, 0)
