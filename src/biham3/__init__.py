@@ -7,7 +7,6 @@ drift tracking, and linear-ansatz discovery of first integrals.
 """
 
 from .expr import (
-    Bindings,
     DomainError,
     EqualNumericResult,
     Expr,

@@ -99,7 +99,10 @@ def _cmd_verify(args):
     if args.samples < 1:
         raise _Usage(f"--samples must be at least 1, got {args.samples}")
     defn = _resolve_system(args.system, _parse_params(args.param))
-    cfg = SampleConfig(n=args.samples, seed=args.seed, tol=args.tol)
+    try:
+        cfg = SampleConfig(n=args.samples, seed=args.seed, tol=args.tol)
+    except ValueError as err:
+        raise _Usage(str(err))
     report = verify_structure(defn, cfg)
     _write(report.to_json(deterministic=args.deterministic), args.out)
     return 0 if report.passed() else 1

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
-from .sampling import SeededSampler
+from .sampling import SeededSampler, sample_box
 from .vecfield import ScalarField, VectorField3, divergence, gradient, scale
 
 SV_THRESHOLD = 1e-10  # nullspace cut, relative to the largest singular value
@@ -167,15 +167,6 @@ def _multiplier_rows(X, basis):
     return [divergence(scale(X, b.expr)).expr for b in basis.elements]
 
 
-def _sample_matrix(rows, names, points):
-    fns = [ex.compile_fn(r, names) for r in rows]
-    A = np.empty((len(points), len(rows)))
-    for i, args in enumerate(points):
-        for j, f in enumerate(fns):
-            A[i, j] = f(*args)
-    return A, fns
-
-
 def _sign_fix(vec):
     mags = np.abs(vec)
     top = mags.max()
@@ -236,12 +227,13 @@ def _search(kind, X, basis, rows, n, seed, domain):
     if n < 3 * m:
         raise DiscoveryError(f"need at least 3*|basis| = {3 * m} sample points, got {n}")
     box = domain or _default_domain(basis.frame, basis.time)
-    names = tuple(sorted(box))
-    sampler = SeededSampler(seed)
-    points = [tuple(p[s] for s in names) for p in (sampler.point(box) for _ in range(n))]
+    names, pts = sample_box(SeededSampler(seed), box, n)
+    functional = ex.compile_array(rows, names)
 
-    A, fns = _sample_matrix(rows, names, points)
-    svals = np.linalg.svd(A, compute_uv=False)
+    A = functional(pts)
+    if not np.isfinite(A).all():
+        raise DiscoveryError("the functional is not finite at every sample point")
+    _, svals, Vt = np.linalg.svd(A, full_matrices=False)
     smax = svals[0]
     if smax == 0.0:
         # functional vanishes identically: the whole basis is the nullspace
@@ -249,7 +241,6 @@ def _search(kind, X, basis, rows, n, seed, domain):
         null = np.eye(m)
         svals = np.zeros(m)
     else:
-        _, _, Vt = np.linalg.svd(A, full_matrices=True)
         thresh = SV_THRESHOLD * smax
         null_dim = int(np.sum(svals < thresh))
         in_gap = np.sum((svals >= thresh) & (svals < SV_AMBIGUITY * thresh))
@@ -262,19 +253,15 @@ def _search(kind, X, basis, rows, n, seed, domain):
     sparse = _sparsify(null)
 
     # fresh-point validation of the sparsified candidates
-    vpoints = [
-        tuple(p[s] for s in names)
-        for p in (SeededSampler(seed + 1).point(box) for _ in range(1000))
-    ]
+    _, vpts = sample_box(SeededSampler(seed + 1), box, 1000)
+    B = functional(vpts)
     candidates = []
     for vec in sparse:
-        worst = 0.0
-        for args in vpoints:
-            vals = [f(*args) for f in fns]
-            r = sum(c * v for c, v in zip(vec, vals))
-            rowscale = max((abs(c * v) for c, v in zip(vec, vals)), default=0.0)
-            worst = max(worst, abs(r) / (1.0 + rowscale))
-        if worst >= VALIDATION_TOL:
+        terms = B * vec
+        worst = float(
+            np.max(np.abs(terms.sum(axis=1)) / (1.0 + np.abs(terms).max(axis=1, initial=0.0)))
+        )
+        if not worst < VALIDATION_TOL:  # a NaN residual fails too
             continue
         unit = vec / np.linalg.norm(vec)
         candidates.append(
@@ -340,21 +327,16 @@ def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42, doma
         raise DiscoveryError("basis must not be empty")
     rows = _multiplier_rows(X, basis)
     result = _search("multiplier", X, basis, rows, n, seed, domain)
-    box = result and (domain or _default_domain(basis.frame, basis.time))
-    names = tuple(sorted(box))
-    sampler = SeededSampler(result.seed + 2)
-    pts = [tuple(p[s] for s in names) for p in (sampler.point(box) for _ in range(500))]
-    bfns = [ex.compile_fn(b.expr, names) for b in basis.elements]
+    box = domain or _default_domain(basis.frame, basis.time)
+    names, pts = sample_box(SeededSampler(result.seed + 2), box, 500)
+    B = ex.compile_array([b.expr for b in basis.elements], names)(pts)
     flagged = []
     for cand in result.candidates:
-        vals = [
-            sum(c * f(*args) for c, f in zip(cand.coefficients, bfns))
-            for args in pts
-        ]
+        vals = B @ np.array(cand.coefficients)
         flags = cand.flags
-        top = max(abs(v) for v in vals)
-        sign_change = min(vals) < 0.0 < max(vals)
-        if sign_change or min(abs(v) for v in vals) < 1e-6 * max(top, 1e-300):
+        top = np.abs(vals).max()
+        sign_change = vals.min() < 0.0 < vals.max()
+        if sign_change or np.abs(vals).min() < 1e-6 * max(top, 1e-300):
             flags = flags + ("vanishes-on-domain",)
         flagged.append(replace(cand, flags=flags))
     return replace(result, candidates=tuple(flagged))
@@ -371,21 +353,14 @@ def annotate(result: DiscoveryResult, known, n=400, seed=None):
     seed = result.seed + 3 if seed is None else seed
     basis = result.basis
     box = _default_domain(basis.frame, basis.time)
-    names = tuple(sorted(box))
-    sampler = SeededSampler(seed)
-    pts = [tuple(p[s] for s in names) for p in (sampler.point(box) for _ in range(n))]
-    B = np.empty((len(pts), len(basis)))
-    for j, b in enumerate(basis.elements):
-        f = ex.compile_fn(b.expr, names)
-        for i, args in enumerate(pts):
-            B[i, j] = f(*args)
+    names, pts = sample_box(SeededSampler(seed), box, n)
+    B = ex.compile_array([b.expr for b in basis.elements], names)(pts)
+    targets = ex.compile_array([sf.expr for sf in known], names)(pts)
 
     V = np.array(result.nullspace) if result.nullspace_dim else np.zeros((0, len(basis)))
     C = np.array([c.coefficients for c in result.candidates])
     annotations = []
-    for sf in known:
-        f = ex.compile_fn(sf.expr, names)
-        target = np.array([f(*args) for args in pts])
+    for sf, target in zip(known, targets.T):
         kappa, _, _, _ = np.linalg.lstsq(B, target, rcond=None)
         fit_residual = float(
             np.max(np.abs(B @ kappa - target)) / (1.0 + np.max(np.abs(target)))

@@ -38,11 +38,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 VARIABLES = ("t", "u", "v", "w", "x", "y", "z")
 FUNCTIONS = ("exp", "ln", "sin", "cos")
-
-#: map symbol/parameter name -> numeric value
-Bindings = dict
+MAX_NESTING = 100  # parser limit on nested parentheses, unary minus and ^
 
 
 class ExprError(Exception):
@@ -793,13 +793,16 @@ def _emit(e, names):
     raise ExprError(f"cannot compile node {type(e).__name__}")
 
 
-_COMPILE_ENV = {
-    "_exp": math.exp,
-    "_ln": math.log,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "__builtins__": {},
-}
+_SCALAR_ENV = {"_exp": math.exp, "_ln": math.log, "_sin": math.sin, "_cos": math.cos}
+_ARRAY_ENV = {"_exp": np.exp, "_ln": np.log, "_sin": np.sin, "_cos": np.cos}
+
+
+def _lambda(body, exprs, names, env):
+    for e in exprs:
+        missing = e.free_symbols() - set(names)
+        if missing:
+            raise UnboundSymbolError(sorted(missing)[0])
+    return eval(f"lambda {', '.join(names)}: {body}", dict(env, __builtins__={}))
 
 
 def compile_fn(e, names):
@@ -807,29 +810,48 @@ def compile_fn(e, names):
 
     Evaluation semantics match :func:`evaluate` except for error types:
     the compiled function raises ZeroDivisionError/ValueError/OverflowError
-    rather than DomainError (float sums are plain ``+`` rather than fsum,
-    which changes results by below-roundoff amounts only in degenerate
-    cancellation cases; all residual statistics use the compiled path
-    consistently).
+    rather than DomainError, and float sums are plain ``+`` rather than
+    fsum.  This scalar path serves per-step callers (the integrator's
+    right-hand side and monitors); sampled statistics go through
+    :func:`compile_array`, whose numpy ufuncs may differ from ``math`` in
+    the last bits, so reports are byte-identical run to run but not
+    bit-identical to a scalar evaluation of the same points.
     """
     names = tuple(names)
-    missing = e.free_symbols() - set(names)
-    if missing:
-        raise UnboundSymbolError(sorted(missing)[0])
-    src = f"lambda {', '.join(names)}: {_emit(e, names)}" if names else f"lambda: {_emit(e, names)}"
-    return eval(src, dict(_COMPILE_ENV))
+    return _lambda(_emit(e, names), (e,), names, _SCALAR_ENV)
 
 
 def compile_vector(exprs, names):
     """Compile several expressions into one tuple-returning function."""
     names = tuple(names)
-    for e in exprs:
-        missing = e.free_symbols() - set(names)
-        if missing:
-            raise UnboundSymbolError(sorted(missing)[0])
     body = ", ".join(_emit(e, names) for e in exprs)
-    src = f"lambda {', '.join(names)}: ({body},)"
-    return eval(src, dict(_COMPILE_ENV))
+    return _lambda(f"({body},)", exprs, names, _SCALAR_ENV)
+
+
+def compile_array(exprs, names):
+    """Compile expressions for evaluation over many points at once.
+
+    The result maps an ``(n, len(names))`` float array of points (one
+    column per name) to an ``(n, len(exprs))`` array of values.  Constant
+    expressions broadcast down their column.  Evaluation uses numpy
+    ufuncs with floating-point warnings silenced: ln of a non-positive
+    value, division by zero and overflow leave a non-finite entry, which
+    callers treat as a domain failure at that point.
+    """
+    names = tuple(names)
+    exprs = tuple(exprs)
+    body = ", ".join(_emit(e, names) for e in exprs)
+    columns = _lambda(f"({body},)" if exprs else "()", exprs, names, _ARRAY_ENV)
+
+    def evaluate_points(points):
+        P = np.asarray(points, dtype=float)
+        out = np.empty((P.shape[0], len(exprs)))
+        with np.errstate(all="ignore"):
+            for j, col in enumerate(columns(*np.ascontiguousarray(P.T))):
+                out[:, j] = col
+        return out
+
+    return evaluate_points
 
 
 # ---------------------------------------------------------------------------
@@ -942,6 +964,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -987,11 +1010,19 @@ class _Parser:
                 return e
 
     def factor(self):
-        kind, val, _ = self.peek()
+        # every nesting construct recurses through here, so one counter
+        # bounds the recursion depth of the whole parser
+        kind, val, at = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", at)
         if kind == "op" and val == "-":
             self.take()
-            return neg(self.factor())
-        return self.power()
+            e = neg(self.factor())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self):
         base = self.atom()
@@ -1053,11 +1084,11 @@ def equal_numeric(e1, e2, domain, n=200, tol=1e-10, seed=42):
 
     ``domain`` maps every free symbol of either expression to an
     ``(lo, hi)`` interval.  Equality holds when
-    ``|e1 - e2| <= tol * (1 + |e1|)`` at all ``n`` points.  Points that
-    raise a domain error are resampled, with a total budget of ``10*n``
-    draws before failure.
+    ``|e1 - e2| <= tol * (1 + |e1|)`` at all ``n`` points.  Points where
+    either side is not finite (a domain error) are resampled, with a
+    total budget of ``10*n`` draws before failure.
     """
-    from .sampling import SeededSampler
+    from .sampling import SeededSampler, sample_box
 
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -1065,39 +1096,21 @@ def equal_numeric(e1, e2, domain, n=200, tol=1e-10, seed=42):
     missing = [s for s in symbols if s not in domain]
     if missing:
         raise ExprError(f"domain missing intervals for: {', '.join(missing)}")
-    f1 = compile_fn(e1, symbols)
-    f2 = compile_fn(e2, symbols)
-    sampler = SeededSampler(seed)
-    box = {s: domain[s] for s in symbols}
-
-    equal = True
-    max_abs = 0.0
-    max_rel = -1.0
-    worst = {}
-    got = 0
-    budget = 10 * n
-    last_err = None
-    while got < n:
-        if budget == 0:
-            raise DomainError(
-                f"resample budget exhausted after {10 * n} draws: {last_err}"
-            )
-        budget -= 1
-        pt = sampler.point(box)
-        args = [pt[s] for s in symbols]
-        try:
-            a = f1(*args)
-            b = f2(*args)
-        except (ZeroDivisionError, ValueError, OverflowError) as err:
-            last_err = err
-            continue
-        got += 1
-        dev = abs(a - b)
-        rel = dev / (1.0 + abs(a))
-        if rel > max_rel:
-            max_rel = rel
-            max_abs = dev
-            worst = dict(pt)
-        if dev > tol * (1.0 + abs(a)):
-            equal = False
-    return EqualNumericResult(equal, max_abs, max(max_rel, 0.0), worst, got)
+    f = compile_array((e1, e2), symbols)
+    names, P = sample_box(
+        SeededSampler(seed),
+        {s: domain[s] for s in symbols},
+        n,
+        keep=lambda P: np.isfinite(f(P)).all(axis=1),
+    )
+    a, b = f(P).T
+    dev = np.abs(a - b)
+    rel = dev / (1.0 + np.abs(a))
+    i = int(np.argmax(rel))
+    return EqualNumericResult(
+        not np.any(dev > tol * (1.0 + np.abs(a))),
+        float(dev[i]),
+        float(rel[i]),
+        {s: float(x) for s, x in zip(names, P[i])},
+        n,
+    )

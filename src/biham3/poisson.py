@@ -118,18 +118,6 @@ def nambu_bracket(
     )
 
 
-def partial_bracket_fixing_second(F, H, H2, structure):
-    """{F,H}^(H2) = {F,H,H2}: the binary bracket with Poisson vector
-    -(1/M) grad(H2)."""
-    return nambu_bracket(F, H, H2, structure)
-
-
-def partial_bracket_fixing_first(F, H, H1, structure):
-    """{F,H}^(H1) = {F,H1,H}: the binary bracket with Poisson vector
-    +(1/M) grad(H1)."""
-    return nambu_bracket(F, H1, H, structure)
-
-
 def fundamental_identity_parts(F1, F2, H1, H2, H3, structure):
     """Symbolic pieces of the Takhtajan identity: the left side
     {F1,F2,{H1,H2,H3}} and the three right-side brackets with

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import expr as ex
 
 DEFAULT_SEED = 42
@@ -37,6 +39,32 @@ class SeededSampler:
     def point(self, box):
         """Sample a point from a box, keys visited in sorted order."""
         return {name: self.uniform(*box[name]) for name in sorted(box)}
+
+
+def sample_box(sampler, box, n, keep=None):
+    """Draw ``n`` points of a box as an ``(n, len(box))`` array.
+
+    Returns ``(names, P)`` with the box's names in sorted order, one
+    column each; rows are drawn through :meth:`SeededSampler.point`, so
+    the stream is the same as drawing point by point.  ``keep(P)`` returns
+    a boolean mask of acceptable rows; rejected rows are replaced by
+    drawing only the shortfall, in stream order, which accepts exactly the
+    points a one-at-a-time accept loop would.  Raises DomainError once
+    ``10*n`` draws have not produced ``n`` accepted points.
+    """
+    names = tuple(sorted(box))
+    P = np.empty((0, len(names)))
+    budget = 10 * n
+    while len(P) < n:
+        want = min(n - len(P), budget)
+        if want == 0:
+            raise ex.DomainError(
+                f"sampling budget exhausted: {len(P)} of {n} points accepted after {10 * n} draws"
+            )
+        budget -= want
+        B = np.array([list(sampler.point(box).values()) for _ in range(want)])
+        P = np.concatenate([P, B if keep is None else B[keep(B)]])
+    return names, P
 
 
 def random_polynomial(sampler, symbols, degree, max_coeff=4):

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import expr as ex
-from .sampling import SeededSampler, random_polynomial
+from .sampling import SeededSampler, random_polynomial, sample_box
 from .vecfield import ScalarField, VectorField3, cross, curl, divergence, gradient, scale
 from .poisson import (
     NambuStructure,
@@ -46,6 +49,14 @@ class SampleConfig:
     tol: float = 1e-12
     fi_tol: float = 1e-8
     tolerances: dict = field(default_factory=dict)  # per-check overrides
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"sample count must be at least 1, got {self.n}")
+        for name in ("tol", "fi_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     def check_tol(self, name):
         return self.tolerances.get(name, self.tol)
@@ -122,37 +133,20 @@ def default_domain(defn):
     return box
 
 
-def _sample_points(defn, cfg, extra_guards=()):
-    """Seeded sample of the verification box, skipping points where the
-    multiplier (or any extra guard expression) is within 1e-9 of zero."""
+def _sample_points(defn, cfg):
+    """Seeded sample of the verification box as ``(names, pts)``, skipping
+    points where the multiplier is not finite or within 1e-9 of zero."""
     box = cfg.domain or default_domain(defn)
-    names = tuple(sorted(box))
-    sampler = SeededSampler(cfg.seed)
-    guards = []
     m = defn.bound_scalar(defn.multiplier).expr
+    keep = None
     if m != ex.ONE:
-        guards.append(ex.compile_fn(m, names))
-    guards.extend(ex.compile_fn(g, names) for g in extra_guards)
-    points = []
-    budget = 10 * cfg.n
-    while len(points) < cfg.n:
-        if budget == 0:
-            raise ex.DomainError("sampling budget exhausted (multiplier too close to zero?)")
-        budget -= 1
-        pt = sampler.point(box)
-        args = tuple(pt[s] for s in names)
-        ok = True
-        for g in guards:
-            try:
-                if abs(g(*args)) < MULTIPLIER_FLOOR:
-                    ok = False
-                    break
-            except (ZeroDivisionError, ValueError, OverflowError):
-                ok = False
-                break
-        if ok:
-            points.append(args)
-    return names, points
+        guard = ex.compile_array((m,), sorted(box))
+
+        def keep(pts):
+            g = np.abs(guard(pts)[:, 0])
+            return np.isfinite(g) & (g >= MULTIPLIER_FLOOR)
+
+    return sample_box(SeededSampler(cfg.seed), box, cfg.n, keep)
 
 
 @dataclass
@@ -178,30 +172,19 @@ def _vec_residual(A, B):
     return [ex.sub(a, b) for a, b in zip(A.exprs(), B.exprs())]
 
 
-def _run_specs(specs, names, points, cfg):
+def _run_specs(specs, names, pts, cfg):
+    """Residual statistics of each spec over the sample points ``pts``."""
     results = []
     for spec in specs:
-        rfs = [ex.compile_fn(r, names) for r in spec.residuals]
-        sfs = [ex.compile_fn(s, names) for s in spec.scales]
-        max_abs = 0.0
-        max_rel = 0.0
-        sq = 0.0
-        count = 0
-        for args in points:
-            scale_ = 0.0
-            for f in sfs:
-                scale_ = max(scale_, abs(f(*args)))
-            denom = 1.0 + scale_
-            for f in rfs:
-                r = abs(f(*args))
-                max_abs = max(max_abs, r)
-                max_rel = max(max_rel, r / denom)
-                sq += r * r
-                count += 1
-        rms = (sq / count) ** 0.5 if count else 0.0
+        k = len(spec.residuals)
+        V = ex.compile_array(spec.residuals + spec.scales, names)(pts)
+        R = np.abs(V[:, :k])
+        scale_ = np.abs(V[:, k:]).max(axis=1, initial=0.0)
+        max_rel = float((R / (1.0 + scale_[:, None])).max(initial=0.0))
+        rms = float(np.sqrt(np.mean(R * R))) if R.size else 0.0
         tol = cfg.check_tol(spec.name)
         results.append(
-            CheckResult(spec.name, len(points), max_abs, max_rel, rms, tol, max_rel <= tol)
+            CheckResult(spec.name, len(pts), float(R.max(initial=0.0)), max_rel, rms, tol, max_rel <= tol)
         )
     return results
 
@@ -217,29 +200,25 @@ def determine_orientation(defn, cfg=None):
         raise ConstraintError(f"{defn.name}: orientation needs both Hamiltonians")
     if not defn.is_instantiated():
         defn = instantiate(defn)
-    names, points = _sample_points(defn, cfg)
+    names, pts = _sample_points(defn, cfg)
+    return _fit_orientation(defn, names, pts, cfg)
+
+
+def _fit_orientation(defn, names, pts, cfg):
     X = defn.bound_field()
     j1, _ = defn.poisson_vectors()
     G = cross(j1.field, gradient(defn.bound_scalar(defn.h2)))
-    xf = [ex.compile_fn(c, names) for c in X.exprs()]
-    gf = [ex.compile_fn(c, names) for c in G.exprs()]
-
-    dev = {1: 0.0, -1: 0.0}
-    comp_dev = {1: [0.0] * 3, -1: [0.0] * 3}
-    for args in points:
-        for i in range(3):
-            a = xf[i](*args)
-            b = gf[i](*args)
-            denom = 1.0 + max(abs(a), abs(b))
-            for sigma in (1, -1):
-                r = abs(a - sigma * b) / denom
-                dev[sigma] = max(dev[sigma], r)
-                comp_dev[sigma][i] = max(comp_dev[sigma][i], r)
+    V = ex.compile_array(X.exprs() + G.exprs(), names)(pts)
+    a, b = V[:, :3], V[:, 3:]
+    denom = 1.0 + np.maximum(np.abs(a), np.abs(b))
+    comp_dev = {
+        sigma: (np.abs(a - sigma * b) / denom).max(axis=0, initial=0.0) for sigma in (1, -1)
+    }
+    dev = {sigma: float(c.max()) for sigma, c in comp_dev.items()}
 
     best = 1 if dev[1] <= dev[-1] else -1
     per_component = {
-        defn.frame[i]: (1 if comp_dev[1][i] <= comp_dev[-1][i] else -1)
-        for i in range(3)
+        v: (1 if p <= m else -1) for v, p, m in zip(defn.frame, comp_dev[1], comp_dev[-1])
     }
     if dev[best] <= cfg.check_tol("orientation"):
         return OrientationResult(
@@ -266,7 +245,7 @@ def verify_structure(defn, cfg=None):
 
     X = defn.bound_field()
     M = defn.bound_scalar(defn.multiplier)
-    names, points = _sample_points(defn, cfg)
+    names, pts = _sample_points(defn, cfg)
 
     if defn.h1 is None or defn.h2 is None:
         notes.append(
@@ -283,7 +262,7 @@ def verify_structure(defn, cfg=None):
                 for c, v in zip(X.exprs(), X.frame)
             ],
         )
-        checks = _run_specs([spec], names, points, cfg)
+        checks = _run_specs([spec], names, pts, cfg)
         return VerificationReport(
             defn.name, params, cfg.seed, box, None, checks, [], notes
         )
@@ -295,7 +274,7 @@ def verify_structure(defn, cfg=None):
     G2 = gradient(H2)
     structure = defn.nambu_structure()
 
-    orient = determine_orientation(defn, cfg)
+    orient = _fit_orientation(defn, names, pts, cfg)
     if defn.orientation is not None and orient.sigma is not None and orient.sigma != defn.orientation:
         notes.append(
             f"stored orientation {defn.orientation:+d} disagrees with the "
@@ -407,10 +386,10 @@ def verify_structure(defn, cfg=None):
         )
     )
 
-    checks = _run_specs(specs, names, points, cfg)
+    checks = _run_specs(specs, names, pts, cfg)
     if orient.sigma is None:
         checks.append(
-            CheckResult("orientation", len(points), float("nan"), float("inf"), float("nan"), cfg.tol, False)
+            CheckResult("orientation", len(pts), float("nan"), float("inf"), float("nan"), cfg.tol, False)
         )
     discrepancies = compare_printed(defn, cfg)
     return VerificationReport(
@@ -481,33 +460,25 @@ def verify_fundamental_identity(structure: NambuStructure, cfg=None, instances=3
     frame = structure.frame
     time = structure.multiplier.time
     box = cfg.domain or {v: (-2.0, 2.0) for v in frame} | {time: (0.0, 2.0)}
-    names = tuple(sorted(box))
     sampler = SeededSampler(cfg.seed)
-    max_abs = 0.0
-    max_rel = 0.0
-    sq = 0.0
-    count = 0
-    for _ in range(instances):
+    res = np.zeros((instances, cfg.n))
+    rel = np.zeros((instances, cfg.n))
+    for k in range(instances):
         fs = [
             ScalarField(random_polynomial(sampler, frame, degree), frame, time)
             for _ in range(5)
         ]
         lhs, rhs = fundamental_identity_parts(*fs, structure)
-        fns = [ex.compile_fn(s.expr, names) for s in (lhs, *rhs)]
-        for _ in range(cfg.n):
-            pt = sampler.point(box)
-            args = tuple(pt[s] for s in names)
-            vals = [f(*args) for f in fns]
-            r = vals[0] - (vals[1] + vals[2] + vals[3])
-            scale_ = max(abs(v) for v in vals)
-            max_abs = max(max_abs, abs(r))
-            max_rel = max(max_rel, abs(r) / (1.0 + scale_))
-            sq += r * r
-            count += 1
-    rms = (sq / count) ** 0.5 if count else 0.0
+        names, pts = sample_box(sampler, box, cfg.n)
+        V = ex.compile_array([s.expr for s in (lhs, *rhs)], names)(pts)
+        res[k] = np.abs(V[:, 0] - (V[:, 1] + V[:, 2] + V[:, 3]))
+        rel[k] = res[k] / (1.0 + np.abs(V).max(axis=1))
+    max_abs = float(res.max(initial=0.0))
+    max_rel = float(rel.max(initial=0.0))
+    rms = float(np.sqrt(np.mean(res * res))) if res.size else 0.0
     tol = cfg.tolerances.get("fundamental_identity", cfg.fi_tol)
     return CheckResult(
-        "fundamental_identity", count, max_abs, max_rel, rms, tol, max_rel <= tol
+        "fundamental_identity", res.size, max_abs, max_rel, rms, tol, max_rel <= tol
     )
 
 

@@ -138,11 +138,21 @@ def test_simulate_rejects_bad_sizes(tmp_path, capsys, flags, message):
     assert "Traceback" not in err and not out_csv.exists()
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_verify_rejects_non_positive_samples(capsys, samples):
-    code, out, err = run(["verify", "qi", "--samples", samples], capsys)
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        pytest.param(["--samples", "0"], "--samples must be at least 1, got 0", id="0"),
+        pytest.param(["--samples", "-5"], "--samples must be at least 1, got -5", id="-5"),
+        pytest.param(["--tol", "nan"], "tol must be finite and non-negative, got nan", id="tol-nan"),
+        pytest.param(["--tol", "-1"], "tol must be finite and non-negative, got -1.0", id="tol-neg"),
+        pytest.param(["--tol", "inf"], "tol must be finite and non-negative, got inf", id="tol-inf"),
+    ],
+)
+def test_verify_rejects_non_positive_samples(capsys, flags, message):
+    # bad sample counts and tolerances are usage errors, not failed checks
+    code, out, err = run(["verify", "qi", *flags], capsys)
     assert code == 2
-    assert err == f"error: --samples must be at least 1, got {samples}\n"
+    assert err == f"error: {message}\n"
     assert out == ""
 
 
@@ -162,15 +172,16 @@ def test_discover_cli(tmp_path, capsys):
 
 def test_discover_with_a_non_snapping_coefficient(tmp_path, capsys):
     # at this seed a sparsified coefficient does not snap to a rational
+    # (4999999999978859/5000000000000000*v^2 + w^2*exp(-2*t))
     out = tmp_path / "disc.json"
     code, _, err = run(
         ["discover", "modified-lu", "--degree", "4", "--weights=-2..0", "--functional",
-         "spatial", "--seed", "506909420", "--out", str(out)],
+         "spatial", "--seed", "2", "--out", str(out)],
         capsys,
     )
     assert code == 0, err
     data = json.loads(out.read_text())
-    assert data["seed"] == 506909420 and data["candidates"]
+    assert data["seed"] == 2 and data["candidates"]
 
 
 def test_bracket_prints_constant(capsys):
@@ -194,6 +205,15 @@ def test_bracket_with_evaluation(capsys):
 def test_bracket_usage_error(capsys):
     code, _, _ = run(["bracket", "--j", "0;1", "--f", "u", "--h", "v"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "f", ["(" * 3000 + "u" + ")" * 3000, "-" * 5000 + "u"], ids=["parentheses", "unary-minus"]
+)
+def test_bracket_rejects_deep_nesting(capsys, f):
+    code, out, err = run(["bracket", "--j", "1;0;0", f"--f={f}", "--h", "v"], capsys)
+    assert code == 2
+    assert err.startswith("error: expression nested deeper than") and out == ""
 
 
 def test_file_based_system(tmp_path, capsys):

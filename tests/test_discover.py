@@ -158,6 +158,9 @@ def test_preconditions():
         first_integral_search(d.bound_field(), build_basis(0, UVW))
     with pytest.raises(DiscoveryError):
         first_integral_search(d.bound_field(), build_basis(2, UVW), n=10)
+    X = VectorField3.from_exprs([parse("ln(u)"), parse("v"), parse("w")], UVW)
+    with pytest.raises(DiscoveryError, match="not finite"):
+        first_integral_search(X, build_basis(1, UVW))
 
 
 def test_result_json():

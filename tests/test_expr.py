@@ -9,6 +9,7 @@ identities.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from biham3 import expr as ex
@@ -28,7 +29,7 @@ from biham3.expr import (
     to_text,
 )
 from biham3 import catalog as cat
-from biham3.sampling import SeededSampler, random_expression
+from biham3.sampling import SeededSampler, random_expression, sample_box
 
 BOX_UVWT = {"u": (-2, 2), "v": (-2, 2), "w": (-2, 2), "t": (0, 2)}
 
@@ -113,6 +114,20 @@ def test_parse_rejects_unknown_functions():
         parse("tan(u)")
     with pytest.raises(ParseError):
         parse("exp")  # function name without arguments
+
+
+def test_parse_rejects_deep_nesting():
+    depth = ex.MAX_NESTING
+    assert parse("(" * (depth - 1) + "u" + ")" * (depth - 1)) == parse("u")
+    assert parse("-" * (depth - 2) + "u") == parse("u")
+    for text in (
+        "(" * 3000 + "u" + ")" * 3000,
+        "-" * 5000 + "u",
+        "exp(" * depth + "u" + ")" * depth,
+        "u^" * depth + "1",
+    ):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse(text)
 
 
 def test_power_is_right_associative_and_tighter_than_unary_minus():
@@ -263,12 +278,28 @@ def test_evaluate_errors():
 def test_compiled_matches_recursive_evaluation():
     sampler = SeededSampler(3)
     e = parse("exp(-2*t)*(u^2+v^2)*(1/4*(u^2+v^2) - w) - v^2/2")
-    f = ex.compile_fn(e, ("u", "v", "w", "t"))
-    for _ in range(50):
-        pt = sampler.point(BOX_UVWT)
-        assert f(pt["u"], pt["v"], pt["w"], pt["t"]) == pytest.approx(
-            evaluate(e, pt), rel=1e-15, abs=1e-15
-        )
+    names = ("u", "v", "w", "t")
+    f = ex.compile_fn(e, names)
+    points = [sampler.point(BOX_UVWT) for _ in range(50)]
+    A = ex.compile_array([e, ex.ZERO, parse("cos(u)+sin(v)")], names)(
+        [[pt[s] for s in names] for pt in points]
+    )
+    assert A.shape == (50, 3)
+    for pt, row in zip(points, A):
+        want = evaluate(e, pt)
+        assert f(pt["u"], pt["v"], pt["w"], pt["t"]) == pytest.approx(want, rel=1e-15, abs=1e-15)
+        assert row[0] == pytest.approx(want, rel=1e-15, abs=1e-15)
+        assert row[1] == 0.0
+        assert row[2] == pytest.approx(math.cos(pt["u"]) + math.sin(pt["v"]), rel=1e-15)
+
+
+def test_compile_array_marks_domain_failures_non_finite():
+    f = ex.compile_array([parse("ln(u)"), parse("1/u"), parse("exp(u)")], ("u",))
+    A = f([[-1.0], [0.0], [1000.0], [1.0]])
+    assert np.isnan(A[0, 0]) and np.isinf(A[1, 1]) and np.isinf(A[2, 2])
+    assert np.isfinite(A[3]).all()
+    with pytest.raises(UnboundSymbolError):
+        ex.compile_array([parse("u+v")], ("u",))
 
 
 # --- substitution -----------------------------------------------------
@@ -316,3 +347,47 @@ def test_equal_numeric_resamples_domain_errors():
 def test_equal_numeric_requires_domain_for_all_symbols():
     with pytest.raises(ex.ExprError):
         equal_numeric(parse("u+alpha"), parse("u"), {"u": (0, 1)}, n=5)
+
+
+# --- sampling ----------------------------------------------------------
+
+
+def test_sample_box_draws_the_point_stream_in_order():
+    box = {"w": (-1.0, 3.0), "u": (0.0, 1.0), "t": (0.0, 2.0)}
+    names, P = sample_box(SeededSampler(5), box, 40)
+    ref = SeededSampler(5)
+    assert names == ("t", "u", "w")
+    assert P.tolist() == [list(ref.point(box).values()) for _ in range(40)]
+
+
+def test_sample_box_keeps_what_a_sequential_accept_loop_keeps():
+    box = {"u": (-1.0, 1.0), "v": (-1.0, 1.0)}
+    ok = lambda u, v: u * v > 0.25
+    ref = SeededSampler(9)
+    want, draws = [], 0
+    while len(want) < 30:
+        pt = ref.point(box)
+        draws += 1
+        if ok(pt["u"], pt["v"]):
+            want.append([pt["u"], pt["v"]])
+    sampler = SeededSampler(9)
+    _, P = sample_box(sampler, box, 30, keep=lambda P: ok(P[:, 0], P[:, 1]))
+    assert P.tolist() == want
+    # the shortfall is redrawn, never more: both streams are at the same place
+    assert sampler.random() == ref.random()
+
+
+def test_sample_box_budget():
+    with pytest.raises(DomainError, match="budget exhausted"):
+        sample_box(SeededSampler(1), {"u": (0.0, 1.0)}, 20, keep=lambda P: P[:, 0] > 0.99)
+    # ten draws per wanted point are allowed, and no more
+    sampler = SeededSampler(1)
+    calls = []
+
+    def keep(P):
+        calls.append(len(P))
+        return P[:, 0] > 2.0
+
+    with pytest.raises(DomainError):
+        sample_box(sampler, {"u": (0.0, 1.0)}, 3, keep=keep)
+    assert calls == [3] * 10
