@@ -43,6 +43,7 @@ import numpy as np
 VARIABLES = ("t", "u", "v", "w", "x", "y", "z")
 FUNCTIONS = ("exp", "ln", "sin", "cos")
 MAX_NESTING = 100  # parser limit on nested parentheses, unary minus and ^
+MAX_EXPONENT = 1000  # largest |n| of an integer power; constant powers also cap their size
 
 
 class ExprError(Exception):
@@ -506,9 +507,14 @@ def pow_(b, n):
     n = int(n)
     if n == 1:
         return b
+    if abs(n) > MAX_EXPONENT:
+        raise ExprError(f"exponent {n} exceeds the limit of {MAX_EXPONENT}")
     if isinstance(b, Const):
         if b.value == 0 and n <= 0:
             raise DomainError("zero raised to a non-positive power")
+        bits = max(b.value.numerator.bit_length(), b.value.denominator.bit_length())
+        if bits * abs(n) > MAX_EXPONENT**2:
+            raise ExprError(f"constant power with exponent {n} exceeds {MAX_EXPONENT**2} bits")
         return Const(b.value**n)
     if n == 0:
         return ONE
@@ -1060,7 +1066,13 @@ class _Parser:
 
 def parse(text):
     """Parse grammar text into a canonical Expr."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except (ParseError, DomainError):
+        raise
+    except ExprError as err:  # a power past MAX_EXPONENT
+        raise ParseError(str(err), parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------

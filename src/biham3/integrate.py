@@ -78,6 +78,8 @@ _FAC_MAX = 5.0
 
 _RHS_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
+MAX_POINTS = 10**6  # sample rows of an adaptive run, steps of an rk4 run
+
 
 class IntegrationError(Exception):
     pass
@@ -118,6 +120,9 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise IntegrationError(f"{name} must be positive and finite, got {value!r}")
+        size = "step" if self.method == "rk4" else "sample_dt"
+        if (self.t1 - self.t0) / getattr(self, size) > MAX_POINTS:
+            raise IntegrationError(f"(t1 - t0)/{size} must be at most {MAX_POINTS}")
 
 
 @dataclass

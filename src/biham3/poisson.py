@@ -63,6 +63,13 @@ def _vf(J):
     return J
 
 
+def _grad(H):
+    # a caller that already holds grad(H) may pass it in place of H
+    if isinstance(H, VectorField3):
+        return H
+    return gradient(H)
+
+
 def coordinate_field(name, frame, time="t"):
     """The coordinate function x_i as a ScalarField."""
     return ScalarField(ex.var(name), frame, time)
@@ -76,9 +83,9 @@ def poisson_bracket(F: ScalarField, H: ScalarField, J) -> ScalarField:
     return dot(gradient(F), cross(Jf, gradient(H)))
 
 
-def hamiltonian_field(J, H: ScalarField) -> VectorField3:
-    """xdot = J x grad(H)."""
-    return cross(_vf(J), gradient(H))
+def hamiltonian_field(J, H) -> VectorField3:
+    """xdot = J x grad(H); H may be given as its gradient."""
+    return cross(_vf(J), _grad(H))
 
 
 def jacobi_residual(J) -> ScalarField:
@@ -87,9 +94,10 @@ def jacobi_residual(J) -> ScalarField:
     return dot(Jf, curl(Jf))
 
 
-def casimir_residual(J, C: ScalarField) -> VectorField3:
-    """J x grad(C); vanishes iff C is a Casimir of J."""
-    return cross(_vf(J), gradient(C))
+def casimir_residual(J, C) -> VectorField3:
+    """J x grad(C); vanishes iff C is a Casimir of J.  C may be given as
+    its gradient."""
+    return cross(_vf(J), _grad(C))
 
 
 def compatibility_residual(J1, J2) -> ScalarField:
@@ -115,6 +123,19 @@ def nambu_bracket(
         return t
     return ScalarField(
         ex.quot(t.expr, structure.multiplier.expr), t.frame, t.time
+    )
+
+
+def nambu_field(H1, H2, structure: NambuStructure) -> VectorField3:
+    """The Nambu flow x_i' = {x_i, H1, H2} = (1/M) (grad(H1) x grad(H2))_i,
+    all three components from one cross product.  H1 and H2 may be given
+    as their gradients."""
+    c = cross(_grad(H1), _grad(H2))
+    if structure.is_trivial():
+        return c
+    m = structure.multiplier.expr
+    return VectorField3(
+        tuple(ScalarField(ex.quot(s.expr, m), s.frame, s.time) for s in c.components)
     )
 
 

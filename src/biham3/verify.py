@@ -2,11 +2,18 @@
 and reports residual statistics, the orientation sign, and the deltas
 between derived and published formulas.
 
-Residuals are reported raw and relative, where "relative" divides by
-one plus the largest participating term magnitude at the sample point.
-The exponential weights of the non-autonomous systems make raw scales
-vary over many orders of magnitude; term-relative normalization is what
-keeps a 1e-12 tolerance meaningful everywhere on the domain.
+Each verdict is decided exactly first: residuals are kept in the
+canonical normal form of :mod:`biham3.expr`, and one that expands to the
+literal zero is an identity, reported ``exact`` with no point drawn.
+Only what the normal form cannot decide is sampled, at seeded points
+drawn at most once per run (Schwartz 1980, Zippel 1979), with the worst
+point reported as the witness.
+
+Sampled residuals are reported raw and relative, where "relative"
+divides by one plus the largest participating term magnitude at the
+sample point.  The exponential weights of the non-autonomous systems
+make raw scales vary over many orders of magnitude; term-relative
+normalization is what keeps a 1e-12 tolerance meaningful everywhere.
 
 Check groups, in order: (1) Jacobi identity for J1 and J2,
 (2) compatibility, (3) pencil Jacobi over six pencil coefficients,
@@ -19,23 +26,28 @@ Published-formula comparisons are informational and never fail a run.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import expr as ex
 from .sampling import SeededSampler, random_polynomial, sample_box
-from .vecfield import ScalarField, VectorField3, cross, curl, divergence, gradient, scale
+from .vecfield import ScalarField, VectorField3, curl, dot, gradient, scale, vadd
 from .poisson import (
     NambuStructure,
-    coordinate_field,
-    fundamental_identity_residual,
-    nambu_bracket,
+    casimir_residual,
+    compatibility_residual,
+    hamiltonian_field,
+    jacobi_residual,
+    multiplier_residual,
+    nambu_field,
     pencil,
 )
-from .catalog import ConstraintError, SystemDef, instantiate
+from .catalog import ConstraintError, instantiate
 
 PENCIL_COEFFICIENTS = (-10, -1, "-0.3", "0.3", 1, 10)
 MULTIPLIER_FLOOR = 1e-9
@@ -65,31 +77,28 @@ class SampleConfig:
 @dataclass
 class CheckResult:
     name: str
-    n: int
+    n: int  # points sampled; 0 for an exact verdict
     max_abs: float
     max_rel: float
     rms: float
     tol: float
     passed: bool
+    method: str = "sampled"  # "exact" or "sampled"
+    worst_point: list = None  # [name, value] pairs of the worst sample
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "n": self.n,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "rms": self.rms,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 @dataclass
 class OrientationResult:
     sigma: int  # +1, -1 or None
-    deviation: dict  # sigma -> max relative deviation
+    deviation: dict  # sigma -> max relative deviation (0.0 when exact)
     per_component: dict  # component name -> preferred sigma
     message: str
+    worst_point: list = None  # where neither sign fits, when sigma is None
 
 
 @dataclass
@@ -108,7 +117,7 @@ class VerificationReport:
 
     def to_dict(self, deterministic=False):
         out = {
-            "schema": 1,
+            "schema": 2,
             "system": self.system,
             "params": {k: float(v) for k, v in self.params.items()},
             "seed": self.seed,
@@ -124,7 +133,16 @@ class VerificationReport:
         return out
 
     def to_json(self, deterministic=False):
-        return json.dumps(self.to_dict(deterministic), indent=2, sort_keys=True)
+        """JSON text with one line per field, and per check and
+        discrepancy entry."""
+        fields = []
+        for key, value in sorted(self.to_dict(deterministic).items()):
+            if key in ("checks", "discrepancies") and value:
+                rows = (json.dumps(v, sort_keys=True) for v in value)
+                fields.append(f'  "{key}": [\n    ' + ",\n    ".join(rows) + "\n  ]")
+            else:
+                fields.append(f'  "{key}": {json.dumps(value, sort_keys=True)}')
+        return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def default_domain(defn):
@@ -133,11 +151,11 @@ def default_domain(defn):
     return box
 
 
-def _sample_points(defn, cfg):
+def _sample_points(d, cfg):
     """Seeded sample of the verification box as ``(names, pts)``, skipping
     points where the multiplier is not finite or within 1e-9 of zero."""
-    box = cfg.domain or default_domain(defn)
-    m = defn.bound_scalar(defn.multiplier).expr
+    box = cfg.domain or default_domain(d.defn)
+    m = d.M.expr
     keep = None
     if m != ex.ONE:
         guard = ex.compile_array((m,), sorted(box))
@@ -149,44 +167,129 @@ def _sample_points(defn, cfg):
     return sample_box(SeededSampler(cfg.seed), box, cfg.n, keep)
 
 
-@dataclass
-class _CheckSpec:
-    name: str
-    residuals: list  # Expr, should vanish
-    scales: list  # Expr whose |values| set the relative normalization
+def _point(names, row):
+    return [[s, float(x)] for s, x in zip(names, row)]
 
 
-def _dot_scales(A, B):
-    return [ex.expand(ex.mul(a, b)) for a, b in zip(A.exprs(), B.exprs())]
+def _derive(defn):
+    """The objects the checks derive from an instantiated system, each
+    built once and shared by every check that needs it."""
+    d = SimpleNamespace(defn=defn, X=defn.bound_field(), M=defn.bound_scalar(defn.multiplier))
+    if defn.h1 is not None and defn.h2 is not None:
+        d.H = (defn.bound_scalar(defn.h1), defn.bound_scalar(defn.h2))
+        d.G = tuple(gradient(h) for h in d.H)
+        d.J = tuple(j.field for j in defn.poisson_vectors())
+        d.F = hamiltonian_field(d.J[0], d.G[1])  # the field up to the orientation sign
+    return d
 
 
-def _cross_scales(A, B):
-    a1, a2, a3 = A.exprs()
-    b1, b2, b3 = B.exprs()
-    pairs = ((a2, b3), (a3, b2), (a3, b1), (a1, b3), (a1, b2), (a2, b1))
-    return [ex.expand(ex.mul(p, q)) for p, q in pairs]
+def _products(A, B, cross=False):
+    """The expanded term products a_i*b_j of A.B (i == j) or of A x B
+    (i != j); their largest magnitude normalizes a sampled residual."""
+    return [
+        ex.expand(ex.mul(a, b))
+        for i, a in enumerate(A.exprs())
+        for j, b in enumerate(B.exprs())
+        if (i != j) == cross
+    ]
 
 
-def _vec_residual(A, B):
-    """Componentwise A - B."""
-    return [ex.sub(a, b) for a, b in zip(A.exprs(), B.exprs())]
+def _multiplier_row(d):
+    return (
+        "multiplier",
+        [multiplier_residual(d.M, d.X).expr],
+        lambda: [
+            ex.expand(ex.differentiate(c, v))
+            for c, v in zip(scale(d.X, d.M.expr).exprs(), d.X.frame)
+        ],
+    )
 
 
-def _run_specs(specs, names, pts, cfg):
-    """Residual statistics of each spec over the sample points ``pts``."""
-    results = []
-    for spec in specs:
-        k = len(spec.residuals)
-        V = ex.compile_array(spec.residuals + spec.scales, names)(pts)
-        R = np.abs(V[:, :k])
-        scale_ = np.abs(V[:, k:]).max(axis=1, initial=0.0)
-        max_rel = float((R / (1.0 + scale_[:, None])).max(initial=0.0))
-        rms = float(np.sqrt(np.mean(R * R))) if R.size else 0.0
-        tol = cfg.check_tol(spec.name)
-        results.append(
-            CheckResult(spec.name, len(pts), float(R.max(initial=0.0)), max_rel, rms, tol, max_rel <= tol)
-        )
-    return results
+def _structure_rows(d, sigma):
+    """The check table of a system with a Hamiltonian pair: one row
+    ``(group, residuals, scales)`` per group, in report order.  The
+    residuals are the identities of :mod:`biham3.poisson`; ``scales``
+    builds the term products that normalize them, and runs only for a
+    group that is sampled."""
+    X = d.X
+    j1, j2 = d.J
+    G1, G2 = d.G
+    F2 = hamiltonian_field(j2, G1)
+    nb = nambu_field(G1, G2, NambuStructure(d.M))
+    jac1, jac2 = jacobi_residual(j1).expr, jacobi_residual(j2).expr
+    compat = compatibility_residual(j1, j2).expr
+    return (
+        (
+            "jacobi",
+            [jac1, jac2],
+            lambda: _products(j1, curl(j1)) + _products(j2, curl(j2)),
+        ),
+        (
+            "compatibility",
+            [compat],
+            lambda: _products(j1, curl(j2)) + _products(j2, curl(j1)),
+        ),
+        (
+            # P.curl(P) for P = J1 + c*J2 is jac1 + c*compat + c^2*jac2
+            "pencil",
+            [
+                ex.add(jac1, ex.mul(c, compat), ex.mul(c, c, jac2))
+                for c in map(ex.con, PENCIL_COEFFICIENTS)
+            ],
+            lambda: [
+                e
+                for P in (pencil(j1, j2, c) for c in PENCIL_COEFFICIENTS)
+                for e in _products(P, curl(P))
+            ],
+        ),
+        (
+            "casimir",
+            [*casimir_residual(j1, G1).exprs(), *casimir_residual(j2, G2).exprs()],
+            lambda: _products(j1, G1, cross=True) + _products(j2, G2, cross=True),
+        ),
+        _multiplier_row(d),
+        (
+            "biham",
+            [*vadd(X, scale(d.F, -sigma)).exprs(), *vadd(X, scale(F2, -sigma)).exprs()],
+            lambda: [
+                *X.exprs(),
+                *scale(d.F, sigma).exprs(),
+                *_products(j1, G2, cross=True),
+                *_products(j2, G1, cross=True),
+            ],
+        ),
+        (
+            "nambu",
+            list(vadd(X, scale(nb, -sigma)).exprs()),
+            lambda: [*X.exprs(), *scale(nb, sigma).exprs()],
+        ),
+        (
+            "orthogonality",
+            [dot(G1, X).expr, dot(G2, X).expr],
+            lambda: _products(G1, X) + _products(G2, X),
+        ),
+    )
+
+
+def _decide(name, residuals, scales, points, cfg):
+    """One check group: exact when every residual expands to ZERO,
+    otherwise sampled, with the worst sample point as its witness."""
+    tol = cfg.check_tol(name)
+    residuals = [ex.expand(r) for r in residuals]
+    if all(r == ex.ZERO for r in residuals):
+        return CheckResult(name, 0, 0.0, 0.0, 0.0, tol, True, "exact")
+    names, pts = points()
+    k = len(residuals)
+    V = ex.compile_array(residuals + scales(), names)(pts)
+    R = np.abs(V[:, :k])
+    rel = (R / (1.0 + np.abs(V[:, k:]).max(axis=1, initial=0.0))[:, None]).max(axis=1)
+    i = int(np.argmax(rel))
+    max_rel = float(rel[i])
+    rms = float(np.sqrt(np.mean(R * R)))
+    return CheckResult(
+        name, len(pts), float(R.max()), max_rel, rms, tol, max_rel <= tol, "sampled",
+        _point(names, pts[i]),
+    )
 
 
 def determine_orientation(defn, cfg=None):
@@ -200,37 +303,52 @@ def determine_orientation(defn, cfg=None):
         raise ConstraintError(f"{defn.name}: orientation needs both Hamiltonians")
     if not defn.is_instantiated():
         defn = instantiate(defn)
-    names, pts = _sample_points(defn, cfg)
-    return _fit_orientation(defn, names, pts, cfg)
+    d = _derive(defn)
+    return _orientation(d, lambda: _sample_points(d, cfg), cfg)
 
 
-def _fit_orientation(defn, names, pts, cfg):
-    X = defn.bound_field()
-    j1, _ = defn.poisson_vectors()
-    G = cross(j1.field, gradient(defn.bound_scalar(defn.h2)))
-    V = ex.compile_array(X.exprs() + G.exprs(), names)(pts)
+def _orientation(d, points, cfg):
+    """Exact when X - sigma*J1 x grad(H2) expands to ZERO for exactly one
+    sign; otherwise fitted over the sample points."""
+    X, F = d.X.exprs(), d.F.exprs()
+    exact = [
+        s
+        for s in (1, -1)
+        if all(ex.expand(ex.sub(x, ex.mul(ex.con(s), f))) == ex.ZERO for x, f in zip(X, F))
+    ]
+    if len(exact) == 1:
+        s = exact[0]
+        return OrientationResult(
+            s, {s: 0.0}, {v: s for v in d.X.frame}, f"orientation {s:+d} (exact)"
+        )
+    return _fit_orientation(X, F, d.X.frame, *points(), cfg)
+
+
+def _fit_orientation(X, F, frame, names, pts, cfg):
+    V = ex.compile_array(X + F, names)(pts)
     a, b = V[:, :3], V[:, 3:]
     denom = 1.0 + np.maximum(np.abs(a), np.abs(b))
-    comp_dev = {
-        sigma: (np.abs(a - sigma * b) / denom).max(axis=0, initial=0.0) for sigma in (1, -1)
-    }
+    rel = {sigma: np.abs(a - sigma * b) / denom for sigma in (1, -1)}
+    comp_dev = {sigma: r.max(axis=0, initial=0.0) for sigma, r in rel.items()}
     dev = {sigma: float(c.max()) for sigma, c in comp_dev.items()}
 
     best = 1 if dev[1] <= dev[-1] else -1
     per_component = {
-        v: (1 if p <= m else -1) for v, p, m in zip(defn.frame, comp_dev[1], comp_dev[-1])
+        v: (1 if p <= m else -1) for v, p, m in zip(frame, comp_dev[1], comp_dev[-1])
     }
     if dev[best] <= cfg.check_tol("orientation"):
         return OrientationResult(
-            best, dev, per_component, f"orientation {best:+d} fits to {dev[best]:.3e}"
+            best, dev, per_component, f"orientation {best:+d} fits to {dev[best]:.3e} (sampled)"
         )
     wants = ", ".join(f"{k} needs {v:+d}" for k, v in per_component.items())
+    neither = np.minimum(rel[1].max(axis=1), rel[-1].max(axis=1))
     return OrientationResult(
         None,
         dev,
         per_component,
         "no global orientation fits "
-        f"(+1: {dev[1]:.3e}, -1: {dev[-1]:.3e}); {wants}",
+        f"(sampled; +1: {dev[1]:.3e}, -1: {dev[-1]:.3e}); {wants}",
+        _point(names, pts[int(np.argmax(neither))]),
     )
 
 
@@ -239,188 +357,65 @@ def verify_structure(defn, cfg=None):
     cfg = cfg or SampleConfig()
     if not defn.is_instantiated():
         defn = instantiate(defn)
+    d = _derive(defn)
+    points = functools.cache(lambda: _sample_points(d, cfg))
     notes = list(defn.notes)
-    box = cfg.domain or default_domain(defn)
-    params = dict(defn.param_values)
-
-    X = defn.bound_field()
-    M = defn.bound_scalar(defn.multiplier)
-    names, pts = _sample_points(defn, cfg)
 
     if defn.h1 is None or defn.h2 is None:
         notes.append(
             "no Hamiltonian pair: jacobi/compatibility/pencil/casimir/"
             "bi-Hamiltonian/nambu/orthogonality checks skipped"
         )
-        from .poisson import multiplier_residual
+        orient, rows, discrepancies = None, [_multiplier_row(d)], []
+    else:
+        orient = _orientation(d, points, cfg)
+        if defn.orientation is not None and orient.sigma is not None and orient.sigma != defn.orientation:
+            notes.append(
+                f"stored orientation {defn.orientation:+d} disagrees with the "
+                f"determined orientation {orient.sigma:+d}"
+            )
+        notes.append(orient.message)
+        rows = _structure_rows(d, orient.sigma or defn.orientation or 1)
+        discrepancies = _compare_printed(d, cfg)
 
-        spec = _CheckSpec(
-            "multiplier",
-            [multiplier_residual(M, X).expr],
-            [
-                ex.expand(ex.differentiate(ex.mul(M.expr, c), v))
-                for c, v in zip(X.exprs(), X.frame)
-            ],
-        )
-        checks = _run_specs([spec], names, pts, cfg)
-        return VerificationReport(
-            defn.name, params, cfg.seed, box, None, checks, [], notes
-        )
-
-    j1, j2 = defn.poisson_vectors()
-    H1 = defn.bound_scalar(defn.h1)
-    H2 = defn.bound_scalar(defn.h2)
-    G1 = gradient(H1)
-    G2 = gradient(H2)
-    structure = defn.nambu_structure()
-
-    orient = _fit_orientation(defn, names, pts, cfg)
-    if defn.orientation is not None and orient.sigma is not None and orient.sigma != defn.orientation:
-        notes.append(
-            f"stored orientation {defn.orientation:+d} disagrees with the "
-            f"sampled orientation {orient.sigma:+d}"
-        )
-    sigma = orient.sigma if orient.sigma is not None else (defn.orientation or 1)
-    notes.append(orient.message)
-
-    specs = []
-
-    curl1 = curl(j1.field)
-    curl2 = curl(j2.field)
-    specs.append(
-        _CheckSpec(
-            "jacobi",
-            [
-                ex.expand(
-                    ex.add(*(ex.mul(a, b) for a, b in zip(j1.field.exprs(), curl1.exprs())))
-                ),
-                ex.expand(
-                    ex.add(*(ex.mul(a, b) for a, b in zip(j2.field.exprs(), curl2.exprs())))
-                ),
-            ],
-            _dot_scales(j1.field, curl1) + _dot_scales(j2.field, curl2),
-        )
-    )
-
-    specs.append(
-        _CheckSpec(
-            "compatibility",
-            [
-                ex.add(
-                    *(ex.mul(a, b) for a, b in zip(j1.field.exprs(), curl2.exprs())),
-                    *(ex.mul(a, b) for a, b in zip(j2.field.exprs(), curl1.exprs())),
-                )
-            ],
-            _dot_scales(j1.field, curl2) + _dot_scales(j2.field, curl1),
-        )
-    )
-
-    pencil_res = []
-    pencil_sc = []
-    for c in PENCIL_COEFFICIENTS:
-        P = pencil(j1, j2, ex.parse(str(c)))
-        cp = curl(P)
-        pencil_res.append(
-            ex.expand(ex.add(*(ex.mul(a, b) for a, b in zip(P.exprs(), cp.exprs()))))
-        )
-        pencil_sc.extend(_dot_scales(P, cp))
-    specs.append(_CheckSpec("pencil", pencil_res, pencil_sc))
-
-    cas1 = cross(j1.field, G1)
-    cas2 = cross(j2.field, G2)
-    specs.append(
-        _CheckSpec(
-            "casimir",
-            list(cas1.exprs()) + list(cas2.exprs()),
-            _cross_scales(j1.field, G1) + _cross_scales(j2.field, G2),
-        )
-    )
-
-    mx = scale(X, M.expr)
-    specs.append(
-        _CheckSpec(
-            "multiplier",
-            [divergence(mx).expr],
-            [ex.expand(ex.differentiate(c, v)) for c, v in zip(mx.exprs(), X.frame)],
-        )
-    )
-
-    bi1 = scale(cross(j1.field, G2), ex.con(sigma))
-    bi2 = scale(cross(j2.field, G1), ex.con(sigma))
-    specs.append(
-        _CheckSpec(
-            "biham",
-            _vec_residual(X, bi1) + _vec_residual(X, bi2),
-            list(X.exprs())
-            + list(bi1.exprs())
-            + _cross_scales(j1.field, G2)
-            + _cross_scales(j2.field, G1),
-        )
-    )
-
-    nb = [
-        nambu_bracket(coordinate_field(v, defn.frame, defn.time), H1, H2, structure)
-        for v in defn.frame
-    ]
-    nbv = VectorField3(
-        tuple(
-            ScalarField(ex.mul(ex.con(sigma), s.expr), s.frame, s.time) for s in nb
-        )
-    )
-    specs.append(
-        _CheckSpec(
-            "nambu",
-            _vec_residual(X, nbv),
-            list(X.exprs()) + list(nbv.exprs()),
-        )
-    )
-
-    specs.append(
-        _CheckSpec(
-            "orthogonality",
-            [
-                ex.expand(ex.add(*(ex.mul(a, b) for a, b in zip(G1.exprs(), X.exprs())))),
-                ex.expand(ex.add(*(ex.mul(a, b) for a, b in zip(G2.exprs(), X.exprs())))),
-            ],
-            _dot_scales(G1, X) + _dot_scales(G2, X),
-        )
-    )
-
-    checks = _run_specs(specs, names, pts, cfg)
-    if orient.sigma is None:
+    checks = [_decide(name, res, scales, points, cfg) for name, res, scales in rows]
+    if orient is not None and orient.sigma is None:
         checks.append(
-            CheckResult("orientation", len(pts), float("nan"), float("inf"), float("nan"), cfg.tol, False)
+            CheckResult(
+                "orientation", len(points()[1]), float("nan"), float("inf"), float("nan"),
+                cfg.tol, False, "sampled", orient.worst_point,
+            )
         )
-    discrepancies = compare_printed(defn, cfg)
+    box = cfg.domain or default_domain(defn)
+    sigma = orient and orient.sigma
     return VerificationReport(
-        defn.name, params, cfg.seed, box, orient.sigma, checks, discrepancies, notes
+        defn.name, dict(defn.param_values), cfg.seed, box, sigma, checks, discrepancies, notes
     )
 
 
 def compare_printed(defn, cfg=None):
     """Compare each stored published formula with its derived counterpart.
 
-    Informational: entries carry an equal/`max_dev` verdict and the worst
-    sample point, and never fail a verification run.
+    Informational: entries carry a match verdict and how it was reached.
+    An exact match (the difference expands to ZERO) has ``max_dev`` 0 and
+    no point; otherwise the formulas are compared at seeded points and
+    the entry gives the worst one.  Never fails a verification run.
     """
     cfg = cfg or SampleConfig()
     if not defn.is_instantiated():
         defn = instantiate(defn)
-    out = []
-    if not defn.printed:
-        return out
+    return _compare_printed(_derive(defn), cfg)
 
-    derived = {}
+
+def _compare_printed(d, cfg):
+    defn = d.defn
+    out = []
+    derived = {"field": d.X.exprs()}
     if defn.h1 is not None and defn.h2 is not None:
-        j1, j2 = defn.poisson_vectors()
-        derived["J1"] = j1.field.exprs()
-        derived["J2"] = j2.field.exprs()
-        derived["H1"] = defn.bound_scalar(defn.h1).expr
-        derived["H2"] = defn.bound_scalar(defn.h2).expr
-    derived["field"] = defn.bound_field().exprs()
+        derived.update(J1=d.J[0].exprs(), J2=d.J[1].exprs(), H1=d.H[0].expr, H2=d.H[1].expr)
     if defn.transform is not None:
-        for i, v in enumerate(defn.frame):
-            derived[f"transform_{v}"] = defn.bound_expr(defn.transform.forward[i])
+        for v, e in zip(defn.frame, defn.transform.forward):
+            derived[f"transform_{v}"] = defn.bound_expr(e)
 
     for key, printed in sorted(defn.printed.items()):
         if key not in derived:
@@ -428,26 +423,25 @@ def compare_printed(defn, cfg=None):
         want = derived[key]
         have = printed if isinstance(printed, tuple) else (printed,)
         want = want if isinstance(want, tuple) else (want,)
-        for i, (p, d) in enumerate(zip(have, want)):
+        for i, (p, w) in enumerate(zip(have, want)):
             p = defn.bound_expr(p)
-            syms = sorted(p.free_symbols() | d.free_symbols())
-            box = {}
-            for s in syms:
-                if s == defn.time:
-                    box[s] = (0.0, 2.0)
-                else:
-                    box[s] = (-2.0, 2.0)
-            r = ex.equal_numeric(p, d, box, n=min(cfg.n, 200), tol=1e-9, seed=cfg.seed)
-            label = key if len(have) == 1 else f"{key}[{i}]"
-            out.append(
-                {
-                    "formula": label,
-                    "match": bool(r.equal),
-                    "max_dev": r.max_abs_dev,
-                    "max_rel_dev": r.max_rel_dev,
-                    "at": [[s, r.worst_point.get(s)] for s in sorted(r.worst_point)],
+            entry = {"formula": key if len(have) == 1 else f"{key}[{i}]"}
+            if ex.expand(ex.sub(p, w)) == ex.ZERO:
+                entry.update(match=True, method="exact", max_dev=0.0, max_rel_dev=0.0, at=[])
+            else:
+                box = {
+                    s: (0.0, 2.0) if s == defn.time else (-2.0, 2.0)
+                    for s in sorted(p.free_symbols() | w.free_symbols())
                 }
-            )
+                r = ex.equal_numeric(p, w, box, n=min(cfg.n, 200), tol=1e-9, seed=cfg.seed)
+                entry.update(
+                    match=bool(r.equal),
+                    method="sampled",
+                    max_dev=r.max_abs_dev,
+                    max_rel_dev=r.max_rel_dev,
+                    at=[[s, r.worst_point.get(s)] for s in sorted(r.worst_point)],
+                )
+            out.append(entry)
     return out
 
 
@@ -463,6 +457,7 @@ def verify_fundamental_identity(structure: NambuStructure, cfg=None, instances=3
     sampler = SeededSampler(cfg.seed)
     res = np.zeros((instances, cfg.n))
     rel = np.zeros((instances, cfg.n))
+    drawn = []
     for k in range(instances):
         fs = [
             ScalarField(random_polynomial(sampler, frame, degree), frame, time)
@@ -470,6 +465,7 @@ def verify_fundamental_identity(structure: NambuStructure, cfg=None, instances=3
         ]
         lhs, rhs = fundamental_identity_parts(*fs, structure)
         names, pts = sample_box(sampler, box, cfg.n)
+        drawn.append(pts)
         V = ex.compile_array([s.expr for s in (lhs, *rhs)], names)(pts)
         res[k] = np.abs(V[:, 0] - (V[:, 1] + V[:, 2] + V[:, 3]))
         rel[k] = res[k] / (1.0 + np.abs(V).max(axis=1))
@@ -477,8 +473,10 @@ def verify_fundamental_identity(structure: NambuStructure, cfg=None, instances=3
     max_rel = float(rel.max(initial=0.0))
     rms = float(np.sqrt(np.mean(res * res))) if res.size else 0.0
     tol = cfg.tolerances.get("fundamental_identity", cfg.fi_tol)
+    k, i = np.unravel_index(int(np.argmax(rel)), rel.shape)
     return CheckResult(
-        "fundamental_identity", res.size, max_abs, max_rel, rms, tol, max_rel <= tol
+        "fundamental_identity", res.size, max_abs, max_rel, rms, tol, max_rel <= tol,
+        "sampled", _point(names, drawn[k][i]),
     )
 
 

@@ -141,6 +141,23 @@ def test_simulate_rejects_bad_sizes(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize(
     "flags,message",
     [
+        (["--sample-dt", "1e-7"], "(t1 - t0)/sample_dt must be at most 1000000"),
+        (["--method", "rk4", "--step", "1e-7"], "(t1 - t0)/step must be at most 1000000"),
+    ],
+)
+def test_simulate_rejects_outputs_past_the_limit(tmp_path, capsys, flags, message):
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run(
+        ["simulate", "qi", "--init", "1,1,1", "--t1", "1", *flags, "--out", str(out_csv)],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: {message}\n" and not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
         pytest.param(["--samples", "0"], "--samples must be at least 1, got 0", id="0"),
         pytest.param(["--samples", "-5"], "--samples must be at least 1, got -5", id="-5"),
         pytest.param(["--tol", "nan"], "tol must be finite and non-negative, got nan", id="tol-nan"),
@@ -214,6 +231,17 @@ def test_bracket_rejects_deep_nesting(capsys, f):
     code, out, err = run(["bracket", "--j", "1;0;0", f"--f={f}", "--h", "v"], capsys)
     assert code == 2
     assert err.startswith("error: expression nested deeper than") and out == ""
+
+
+def test_exponent_past_the_limit_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(["bracket", "--j", "1;0;0", "--f", "u^2^2^2^2", "--h", "v"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: exponent 65536 exceeds the limit")
+    path = tmp_path / "tower.system"
+    path.write_text("name = tower\nframe = u v w\nfield = v ; -u ; 0\nh1 = u^2^2^2^2\nh2 = w\n")
+    code, out, err = run(["verify", str(path), "--samples", "10"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: exponent 65536 exceeds the limit")
 
 
 def test_file_based_system(tmp_path, capsys):

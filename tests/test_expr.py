@@ -130,6 +130,28 @@ def test_parse_rejects_deep_nesting():
             parse(text)
 
 
+def test_parse_rejects_exponents_past_the_limit():
+    assert parse("u^2^2^2") == ex.pow_(ex.var("u"), 16)
+    assert parse("2^2^2^2") == ex.con(65536)
+    for text in (
+        "u^2^2^2^2",
+        "2^2^2^2^2",
+        "(u^40)^40",
+        "u^600*u^600",
+        "((1000^1000)^1000)^1000",
+    ):
+        with pytest.raises(ParseError, match="exceeds"):
+            parse(text)
+
+
+def test_pow_rejects_exponents_past_the_limit():
+    u = ex.var("u")
+    assert ex.pow_(u, -ex.MAX_EXPONENT) == parse(f"u^(-{ex.MAX_EXPONENT})")
+    for base, n in ((u, 65536), (u, -65536), (ex.con(2), 65536), (ex.con(10**400), 900)):
+        with pytest.raises(ex.ExprError, match="exceeds"):
+            ex.pow_(base, n)
+
+
 def test_power_is_right_associative_and_tighter_than_unary_minus():
     assert parse("2^3^2") == ex.con(512)
     assert parse("-u^2") == ex.neg(parse("u^2"))

@@ -265,6 +265,17 @@ def test_config_rejects_non_positive_or_non_finite_sizes(kwargs):
         IntegratorConfig(**args)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"sample_dt": 1e-7}, {"t1": 1e5, "sample_dt": 0.01}, {"method": "rk4", "step": 1e-7}],
+)
+def test_config_caps_sample_and_step_counts(kwargs):
+    args = {"t0": 0.0, "t1": 1.0, "y0": (0.0, 0.0, 0.0), **kwargs}
+    with pytest.raises(IntegrationError, match="must be at most 1000000"):
+        IntegratorConfig(**args)
+    IntegratorConfig(**{**args, "t1": args["t1"] / 20})
+
+
 def test_config_ignores_sizes_the_method_does_not_read():
     cfg = IntegratorConfig(t0=0.0, t1=1.0, y0=(0.0, 0.0, 0.0), method="rk4", step=0.1, sample_dt=0.0)
     assert integrate(HARMONIC, cfg).ok()

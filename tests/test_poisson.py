@@ -23,6 +23,7 @@ from biham3.poisson import (
     jacobi_residual,
     multiplier_residual,
     nambu_bracket,
+    nambu_field,
     pencil,
     poisson_bracket,
 )
@@ -148,6 +149,37 @@ def test_nambu_bracket_examples():
     assert ex.evaluate(b.expr, {"u": 1, "v": 2, "w": 3}) == -2.0
     rep = nambu_bracket(sf("u*v"), sf("u*v"), sf("w^2"), S)
     assert rep.expr == ex.ZERO
+
+
+def test_nambu_field_is_the_coordinate_brackets():
+    sampler = SeededSampler(13)
+    H1, H2 = (ScalarField(random_polynomial(sampler, UVW, 3), UVW) for _ in range(2))
+    for mult in ("1", "exp(-t)", "1+u^2"):
+        S = NambuStructure(sf(mult))
+        want = tuple(nambu_bracket(coordinate_field(v, UVW), H1, H2, S).expr for v in UVW)
+        assert nambu_field(H1, H2, S).exprs() == want
+        assert nambu_field(gradient(H1), gradient(H2), S).exprs() == want
+
+
+def test_identities_accept_a_precomputed_gradient():
+    J = PoissonVector(vf("w", "u*v", "exp(-t)"))
+    H = sf("u^2*v - exp(t)*w")
+    assert hamiltonian_field(J, gradient(H)) == hamiltonian_field(J, H)
+    assert casimir_residual(J, gradient(H)) == casimir_residual(J, H)
+
+
+def test_pencil_jacobi_is_quadratic_in_the_coefficient():
+    # P.curl(P) for P = J1 + c*J2 equals jac(J1) + c*compat(J1, J2) + c^2*jac(J2)
+    J1, J2 = vf("v*w", "u^2", "exp(-t)*v"), vf("w", "u*v", "1+w")
+    for c in (-10, "-0.3", 1, 10):
+        c = ex.con(c)
+        parts = ex.add(
+            jacobi_residual(J1).expr,
+            ex.mul(c, compatibility_residual(J1, J2).expr),
+            ex.mul(c, c, jacobi_residual(J2).expr),
+        )
+        assert parts != ex.ZERO
+        assert ex.expand(parts) == jacobi_residual(pencil(J1, J2, c)).expr
 
 
 def test_nambu_generalized_leibnitz():

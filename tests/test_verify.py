@@ -7,14 +7,23 @@ over the default box; the fundamental identity at 1e-8.
 
 import dataclasses
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from biham3 import catalog as cat
 from biham3 import expr as ex
+from biham3 import verify
 from biham3.expr import parse
-from biham3.poisson import NambuStructure
-from biham3.vecfield import ScalarField, VectorField3
+from biham3.poisson import (
+    NambuStructure,
+    coordinate_field,
+    hamiltonian_field,
+    multiplier_residual,
+    nambu_bracket,
+)
+from biham3.vecfield import ScalarField, VectorField3, gradient
 from biham3.verify import (
     SampleConfig,
     compare_printed,
@@ -44,7 +53,7 @@ def test_structure_suite_passes(name):
     assert rep.passed(), [(c.name, c.max_rel) for c in rep.checks if not c.passed]
     assert rep.orientation == -1
     assert all(c.max_rel < 1e-12 for c in rep.checks)
-    assert all(c.n == 300 for c in rep.checks)
+    assert all(c.method == "exact" and c.n == 0 for c in rep.checks)
 
 
 def test_verify_accepts_uninstantiated_definition():
@@ -152,14 +161,22 @@ def test_report_determinism():
 def test_report_json_schema():
     rep = verify_structure(cat.instantiate("lu-transformed"), SampleConfig(n=100))
     data = json.loads(rep.to_json(deterministic=True))
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["system"] == "lu-transformed"
     assert data["orientation"] == -1
     assert "timestamp" not in data
     for c in data["checks"]:
-        assert set(c) == {"name", "n", "max_abs", "max_rel", "rms", "tol", "pass"}
+        assert set(c) == {
+            "name", "n", "max_abs", "max_rel", "rms", "tol", "pass", "method", "worst_point"
+        }
+        assert c["method"] == "exact" and c["worst_point"] is None
     for e in data["discrepancies"]:
-        assert {"formula", "match", "max_dev", "at"} <= set(e)
+        assert {"formula", "match", "max_dev", "at", "method"} <= set(e)
+        if e["method"] == "exact":
+            assert e["match"] and e["max_dev"] == 0.0 and e["at"] == []
+    # one line per check and per discrepancy entry
+    rows = [l for l in rep.to_json(deterministic=True).splitlines() if l.startswith("    ")]
+    assert [json.loads(l.strip().rstrip(",")) for l in rows] == data["checks"] + data["discrepancies"]
     data2 = json.loads(rep.to_json())
     assert "timestamp" in data2
 
@@ -188,3 +205,117 @@ def test_verify_user_defined_system_with_nonconstant_multiplier():
     rep = verify_structure(d, SampleConfig(n=150))
     assert rep.passed()
     assert rep.orientation == -1
+
+
+# the parameter sets the verify-catalog benchmark rotates through
+BENCH_PARAMS = {
+    "lu-original": (
+        {"alpha": "1", "beta": "1", "gamma": "1"},
+        {"alpha": "2", "beta": "1", "gamma": "1/2"},
+        {"alpha": "1/2", "beta": "2", "gamma": "1"},
+    ),
+    "lu-transformed": ({"alpha": "1"}, {"alpha": "2"}, {"alpha": "1/2"}),
+    "modified-lu": ({"alpha": "1"}, {"alpha": "2"}, {"alpha": "1/2"}),
+    "t-system": ({"alpha": "1", "gamma": "1"}, {"alpha": "2", "gamma": "1"}, {"alpha": "1/2", "gamma": "3"}),
+    "chen": ({"alpha": "1", "gamma": "1"}, {"alpha": "2", "gamma": "1"}, {"alpha": "1/2", "gamma": "2"}),
+    "chen-variant": (
+        {"alpha": "1", "lambda": "1"},
+        {"alpha": "2", "lambda": "1"},
+        {"alpha": "1/2", "lambda": "2"},
+    ),
+    "qi": ({"gamma": "2"}, {"gamma": "1"}, {"gamma": "1/2"}),
+}
+
+
+def _instantiate(name, params):
+    return cat.instantiate(name, {k: Fraction(v) for k, v in params.items()})
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("a sample point was drawn")
+
+
+@pytest.mark.parametrize(
+    "name,params", [(n, p) for n in STRUCTURED for p in BENCH_PARAMS[n]]
+)
+def test_hamiltonian_systems_are_decided_without_sampling(monkeypatch, name, params):
+    monkeypatch.setattr(verify, "sample_box", _no_draws)
+    rep = verify_structure(_instantiate(name, params))
+    assert [c.name for c in rep.checks] == CHECK_NAMES
+    for c in rep.checks:
+        assert (c.method, c.n, c.max_abs, c.max_rel, c.worst_point, c.passed) == (
+            "exact", 0, 0.0, 0.0, None, True
+        ), c.name
+    assert rep.orientation == -1
+    assert "orientation -1 (exact)" in rep.notes
+    o = determine_orientation(_instantiate(name, params))
+    assert (o.sigma, o.deviation) == (-1, {-1: 0.0})
+
+
+def _at(exprs, point):
+    names = [s for s, _ in point]
+    return ex.compile_array(exprs, names)(np.array([[x for _, x in point]]))[0]
+
+
+def _witnessed_residuals(d, sigma):
+    """Per failing group, the residual lists of which each must be non-zero
+    at the group's witness, rebuilt from the bracket algebra."""
+    X = d.bound_field().exprs()
+    H1, H2 = d.bound_scalar(d.h1), d.bound_scalar(d.h2)
+    j1, j2 = d.poisson_vectors()
+    S = d.nambu_structure()
+    F1 = hamiltonian_field(j1, H2).exprs()
+    F2 = hamiltonian_field(j2, H1).exprs()
+    nambu = [nambu_bracket(coordinate_field(v, d.frame), H1, H2, S).expr for v in d.frame]
+    minus = lambda B, s: [ex.sub(a, ex.mul(ex.con(s), b)) for a, b in zip(X, B)]
+    return {
+        "multiplier": [[multiplier_residual(S.multiplier, d.bound_field()).expr]],
+        "biham": [minus(F1, sigma) + minus(F2, sigma)],
+        "nambu": [minus(nambu, sigma)],
+        "orthogonality": [[ex.add(*(ex.mul(g, x) for g, x in zip(G.exprs(), X)))
+                           for G in (gradient(H1), gradient(H2))]],
+        # neither global sign fits at the witness
+        "orientation": [minus(F1, 1), minus(F1, -1)],
+    }
+
+
+@pytest.mark.parametrize("name,component", [(n, i) for n in STRUCTURED for i in range(3)])
+def test_flipped_controls_fail_with_sampled_witnesses(name, component):
+    d = flipped_sign_variant(cat.instantiate(name), component)
+    rep = verify_structure(d, SampleConfig(n=200))
+    failing = [c for c in rep.checks if not c.passed]
+    assert failing and not rep.passed()
+    assert rep.orientation is None
+    # with no fitting sign the checks run under the stored orientation
+    residuals = _witnessed_residuals(d, d.orientation)
+    for c in failing:
+        assert c.method == "sampled" and c.n == 200, c.name
+        for res in residuals[c.name]:
+            assert np.abs(_at(res, c.worst_point)).max() > 0.0, c.name
+
+
+@pytest.mark.parametrize("params", BENCH_PARAMS["lu-original"])
+def test_lu_original_multiplier_is_sampled_at_the_divergence(params):
+    rep = verify_structure(_instantiate("lu-original", params))
+    (c,) = rep.checks
+    v = {k: Fraction(x) for k, x in params.items()}
+    assert c.method == "sampled" and c.n == 1000 and not c.passed
+    assert c.max_abs == float(abs(v["gamma"] - v["alpha"] - v["beta"]))
+    assert [s for s, _ in c.worst_point] == ["t", "x", "y", "z"]
+
+
+def test_quotient_multiplier_system_takes_the_sampled_route():
+    # X = -(1/M) grad(H1) x grad(H2) with M = 1+u^2: every identity holds,
+    # but the quotients do not cancel in the normal form
+    doc = (
+        "name = quotient-lu\nframe = u v w\ntime = t\n"
+        "field = v/(1+u^2) ; -u*w/(1+u^2) ; u*v/(1+u^2)\n"
+        "multiplier = 1+u^2\n"
+        "h1 = 1/2*(v^2+w^2)\nh2 = 1/2*u^2 - w\norientation = auto\n"
+    )
+    rep = verify_structure(cat.instantiate(cat.load_system(doc)), SampleConfig(n=150))
+    assert rep.passed() and rep.orientation == -1
+    sampled = [c for c in rep.checks if c.method == "sampled"]
+    assert sampled and all(c.n == 150 and len(c.worst_point) == 4 for c in sampled)
+    assert rep.checks[0].name == "jacobi" and rep.checks[0].method == "sampled"
+    assert any("(sampled)" in n for n in rep.notes)
