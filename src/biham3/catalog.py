@@ -129,13 +129,17 @@ class SystemDef:
         vf = vf if vf is not None else self.field
         return VectorField3(tuple(self.bound_scalar(c) for c in vf.components))
 
-    def poisson_vectors(self):
-        """J1 = (1/M) grad(H1), J2 = -(1/M) grad(H2), parameters bound."""
+    def poisson_vectors(self, gradients=None):
+        """J1 = (1/M) grad(H1), J2 = -(1/M) grad(H2), parameters bound.
+
+        A caller that already holds the bound gradients of H1 and H2 may
+        pass them as ``gradients``.
+        """
         if self.h1 is None or self.h2 is None:
             raise ConstraintError(f"system {self.name!r} has no Hamiltonian pair")
         m = self.bound_scalar(self.multiplier).expr
-        j1 = gradient(self.bound_scalar(self.h1))
-        j2 = scale(gradient(self.bound_scalar(self.h2)), ex.con(-1))
+        j1, g2 = gradients or (gradient(self.bound_scalar(h)) for h in (self.h1, self.h2))
+        j2 = scale(g2, ex.con(-1))
         if m != ex.ONE:
             j1 = VectorField3(
                 tuple(

@@ -286,7 +286,7 @@ def main(argv=None):
     except _Usage as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (cat.ConstraintError, cat.SystemFormatError, ex.ParseError) as err:
+    except (cat.ConstraintError, cat.SystemFormatError, ex.ParseError, ex.LimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (DiscoveryError, IntegrationError, ex.ExprError) as err:

@@ -25,7 +25,9 @@ terms with rational coefficients, and ``exp(a)*exp(b) -> exp(a+b)``.
 Trees built through this module are therefore always in canonical form,
 ``simplify`` re-normalizes defensively, and any expression that cancels
 under those rules is the literal zero constant.  ``expand`` additionally
-distributes products and integer powers over sums.
+distributes products and integer powers over sums.  It is idempotent,
+and it marks each of its results, so expanding an expanded tree again
+returns it at once.
 
 Expressions are immutable; evaluation, differentiation and substitution
 are reentrant.
@@ -33,6 +35,7 @@ are reentrant.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -44,6 +47,7 @@ VARIABLES = ("t", "u", "v", "w", "x", "y", "z")
 FUNCTIONS = ("exp", "ln", "sin", "cos")
 MAX_NESTING = 100  # parser limit on nested parentheses, unary minus and ^
 MAX_EXPONENT = 1000  # largest |n| of an integer power; constant powers also cap their size
+MAX_TERMS = 10_000  # most term products one multiplication inside expand may form
 
 
 class ExprError(Exception):
@@ -60,6 +64,10 @@ class NonIntegerExponentError(ParseError):
     pass
 
 
+class LimitError(ExprError):
+    """An expression past MAX_EXPONENT or MAX_TERMS."""
+
+
 class UnknownFunctionError(ParseError):
     pass
 
@@ -74,15 +82,23 @@ class DomainError(ExprError):
     """ln of a non-positive value, division by zero, overflow."""
 
 
+class ParseDomainError(ParseError, DomainError):
+    """A domain error among the constants of expression text (``1/0``,
+    ``ln(-1)``): bad input, so a ParseError, and also a DomainError."""
+
+
 class Expr:
     """Base node.  Subclasses carry the payload; instances are immutable."""
 
-    __slots__ = ("_hash", "_keyc", "_symc")
+    # _expanded marks a result of expand (a fixed point of it); like the
+    # caches, it takes no part in == or hash
+    __slots__ = ("_hash", "_keyc", "_symc", "_expanded")
 
     def __init__(self):
         self._hash = None
         self._keyc = None
         self._symc = None
+        self._expanded = False
 
     def _payload(self):
         raise NotImplementedError
@@ -508,13 +524,13 @@ def pow_(b, n):
     if n == 1:
         return b
     if abs(n) > MAX_EXPONENT:
-        raise ExprError(f"exponent {n} exceeds the limit of {MAX_EXPONENT}")
+        raise LimitError(f"exponent {n} exceeds the limit of {MAX_EXPONENT}")
     if isinstance(b, Const):
         if b.value == 0 and n <= 0:
             raise DomainError("zero raised to a non-positive power")
         bits = max(b.value.numerator.bit_length(), b.value.denominator.bit_length())
         if bits * abs(n) > MAX_EXPONENT**2:
-            raise ExprError(f"constant power with exponent {n} exceeds {MAX_EXPONENT**2} bits")
+            raise LimitError(f"constant power with exponent {n} exceeds {MAX_EXPONENT**2} bits")
         return Const(b.value**n)
     if n == 0:
         return ONE
@@ -686,36 +702,86 @@ def simplify(e):
     raise ExprError(f"cannot simplify node {type(e).__name__}")
 
 
+def _check_terms(n):
+    if n > MAX_TERMS:
+        raise LimitError(
+            f"expansion would form {n} term products, more than the limit of {MAX_TERMS}"
+        )
+
+
 def _mulx(a, b):
     if isinstance(a, Add):
+        if isinstance(b, Add):
+            _check_terms(len(a.terms) * len(b.terms))
         return add(*[_mulx(t, b) for t in a.terms])
     if isinstance(b, Add):
         return add(*[_mulx(a, t) for t in b.terms])
     return mul(a, b)
 
 
+def _fresh_quotient(t):
+    """Whether a product term holds a quotient that ``mul`` built by
+    raising a repeated quotient factor to a power, with its parts not
+    expanded."""
+    for f in t.factors if isinstance(t, Mul) else (t,):
+        if isinstance(f, Quot) and not f._expanded:
+            return True
+    return False
+
+
+def _product(factors):
+    """Expanded product of expanded factors."""
+    out = functools.reduce(_mulx, factors)
+    terms = out.terms if isinstance(out, Add) else (out,)
+    if any(map(_fresh_quotient, terms)):
+        out = add(*[expand(t) if _fresh_quotient(t) else t for t in terms])
+    return out
+
+
 def expand(e):
     """Distribute products and positive integer powers over sums, then
-    normalize.  Quotient denominators are left intact."""
+    normalize.  A quotient stays one: its numerator and denominator are
+    expanded apart.
+
+    Idempotent: the result is marked as expanded, and a marked tree is
+    returned as it is.  Raises LimitError, before multiplying, when a
+    product of sums, or a power of a sum, would form more than MAX_TERMS
+    term products in one multiplication.
+    """
+    if e._expanded:
+        return e
+    out = _expand(e)
+    out._expanded = True
+    return out
+
+
+def _expand(e):
+    """Expand the children, then rebuild.  A power or quotient whose
+    parts changed is expanded again, because ``pow_`` and ``quot`` form
+    new, unexpanded products and powers of the expanded parts."""
     if isinstance(e, (Const, Var, Param)):
         return e
     if isinstance(e, Add):
         return add(*[expand(t) for t in e.terms])
     if isinstance(e, Mul):
-        out = ONE
-        for f in e.factors:
-            out = _mulx(out, expand(f))
-        return out
+        return _product([expand(f) for f in e.factors])
     if isinstance(e, Pow):
         base = expand(e.base)
-        if isinstance(base, Add) and e.exponent > 1:
-            out = base
-            for _ in range(e.exponent - 1):
-                out = _mulx(out, base)
-            return out
-        return pow_(base, e.exponent)
+        n = e.exponent
+        if isinstance(base, Add) and n > 1:
+            # the last and largest product of the loop: base^(n-1) has at
+            # most comb(m+n-2, n-1) terms, one per monomial of its degree
+            m = len(base.terms)
+            _check_terms(m * math.comb(m + n - 2, n - 1))
+            return _product([base] * n)
+        if base is e.base:
+            return e
+        return expand(pow_(base, n))
     if isinstance(e, Quot):
-        return quot(expand(e.num), expand(e.den))
+        num, den = expand(e.num), expand(e.den)
+        if num is e.num and den is e.den:
+            return e
+        return expand(quot(num, den))
     if isinstance(e, _Func):
         return _FUNC_BUILDERS[e.fname](expand(e.arg))
     raise ExprError(f"cannot expand node {type(e).__name__}")
@@ -1069,8 +1135,10 @@ def parse(text):
     parser = _Parser(text)
     try:
         return parser.parse()
-    except (ParseError, DomainError):
+    except ParseError:
         raise
+    except DomainError as err:  # 1/0, ln(-1)
+        raise ParseDomainError(str(err), parser.peek()[2]) from None
     except ExprError as err:  # a power past MAX_EXPONENT
         raise ParseError(str(err), parser.peek()[2]) from None
 

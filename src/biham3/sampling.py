@@ -45,14 +45,19 @@ def sample_box(sampler, box, n, keep=None):
     """Draw ``n`` points of a box as an ``(n, len(box))`` array.
 
     Returns ``(names, P)`` with the box's names in sorted order, one
-    column each; rows are drawn through :meth:`SeededSampler.point`, so
-    the stream is the same as drawing point by point.  ``keep(P)`` returns
-    a boolean mask of acceptable rows; rejected rows are replaced by
-    drawing only the shortfall, in stream order, which accepts exactly the
-    points a one-at-a-time accept loop would.  Raises DomainError once
-    ``10*n`` draws have not produced ``n`` accepted points.
+    column each.  The uniforms come from the sampler's stream as one flat
+    list, row by row, and each is scaled as :meth:`SeededSampler.uniform`
+    scales it, so the array is bit-identical to drawing point by point
+    with :meth:`SeededSampler.point`.  ``keep(P)`` returns a boolean mask
+    of acceptable rows; rejected rows are replaced by drawing only the
+    shortfall, in stream order, which accepts exactly the points a
+    one-at-a-time accept loop would.  Raises DomainError once ``10*n``
+    draws have not produced ``n`` accepted points.
     """
     names = tuple(sorted(box))
+    lo = np.array([box[s][0] for s in names], dtype=float)
+    span = np.array([box[s][1] - box[s][0] for s in names], dtype=float)
+    draw = sampler._rng.random
     P = np.empty((0, len(names)))
     budget = 10 * n
     while len(P) < n:
@@ -62,7 +67,8 @@ def sample_box(sampler, box, n, keep=None):
                 f"sampling budget exhausted: {len(P)} of {n} points accepted after {10 * n} draws"
             )
         budget -= want
-        B = np.array([list(sampler.point(box).values()) for _ in range(want)])
+        R = np.array([draw() for _ in range(want * len(names))]).reshape(want, len(names))
+        B = lo + span * R
         P = np.concatenate([P, B if keep is None else B[keep(B)]])
     return names, P
 

@@ -178,7 +178,7 @@ def _derive(defn):
     if defn.h1 is not None and defn.h2 is not None:
         d.H = (defn.bound_scalar(defn.h1), defn.bound_scalar(defn.h2))
         d.G = tuple(gradient(h) for h in d.H)
-        d.J = tuple(j.field for j in defn.poisson_vectors())
+        d.J = tuple(j.field for j in defn.poisson_vectors(d.G))
         d.F = hamiltonian_field(d.J[0], d.G[1])  # the field up to the orientation sign
     return d
 

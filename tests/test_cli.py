@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,31 @@ def test_exponent_past_the_limit_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(["verify", str(path), "--samples", "10"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: exponent 65536 exceeds the limit")
+
+
+@pytest.mark.parametrize(
+    "f,message",
+    [
+        ("1/0", "error: division by the zero constant"),
+        ("ln(-1)", "error: ln of a non-positive constant"),
+        ("(u+v+w+1)^40", "error: expansion would form"),
+    ],
+    ids=["division-by-zero", "ln-negative", "term-cap"],
+)
+def test_bracket_expression_errors_are_usage_errors(capsys, f, message):
+    start = time.perf_counter()
+    code, out, err = run(["bracket", "--j", "0;0;1", "--f", f, "--h", "v"], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith(message)
+
+
+def test_system_past_the_term_cap_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "big.system"
+    path.write_text("name = big\nframe = u v w\nfield = v ; -u ; 0\nh1 = (u+v+w+1)^40\nh2 = w\n")
+    code, out, err = run(["verify", str(path), "--samples", "10"], capsys)
+    assert code == 2 and out == ""
+    assert "more than the limit of 10000" in err
 
 
 def test_file_based_system(tmp_path, capsys):

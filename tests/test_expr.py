@@ -206,6 +206,82 @@ def test_expand_distributes():
     assert expand(parse("u*(v+w)")) == parse("u*v + u*w")
 
 
+def _unmarked(e):
+    """A node-by-node copy of ``e`` that expand has never seen."""
+    if isinstance(e, ex.Const):
+        return ex.Const(e.value)
+    if isinstance(e, (ex.Var, ex.Param)):
+        return type(e)(e.name)
+    if isinstance(e, ex.Add):
+        return ex.Add(tuple(map(_unmarked, e.terms)))
+    if isinstance(e, ex.Mul):
+        return ex.Mul(tuple(map(_unmarked, e.factors)))
+    if isinstance(e, ex.Pow):
+        return ex.Pow(_unmarked(e.base), e.exponent)
+    if isinstance(e, ex.Quot):
+        return ex.Quot(_unmarked(e.num), _unmarked(e.den))
+    return type(e)(_unmarked(e.arg))
+
+
+def test_expand_expands_powers_of_quotients_and_exponentials():
+    assert expand(parse("((u+v)/(w+1))^2")) == parse("(u^2 + 2*u*v + v^2)/(1 + 2*w + w^2)")
+    assert expand(parse("(exp(u+v)/w)^2")) == parse("exp(2*u + 2*v)/w^2")
+    q = parse("u/(v+1)")
+    assert expand(ex.mul(ex.add(q, 1), ex.add(q, 2))) == parse(
+        "2 + 3*(u/(1 + v)) + u^2/(1 + 2*v + v^2)"
+    )
+
+
+def test_expand_is_idempotent_on_random_corpus():
+    sampler = SeededSampler(42)
+    limited = 0
+    for _ in range(3000):
+        e = random_expression(sampler, ("u", "v", "w", "t"), 7)
+        try:
+            x = expand(e)
+        except ex.LimitError:
+            limited += 1
+            continue
+        copy = _unmarked(x)
+        assert copy == x and not copy._expanded
+        assert expand(copy) == x, to_text(e)
+    assert limited == 1  # one product of two large expansions passes MAX_TERMS
+
+
+def test_expand_returns_its_own_results_without_work(monkeypatch):
+    from biham3 import verify
+
+    results = []
+    for name in cat.BUILTIN_NAMES:
+        d = verify._derive(cat.instantiate(name))
+        derived = [*d.X.exprs(), d.M.expr]
+        if hasattr(d, "J"):
+            rows = verify._structure_rows(d, -1)
+            derived += [f.expr for f in d.H]
+            derived += [e for V in (*d.G, *d.J, d.F) for e in V.exprs()]
+            derived += [r for _, residuals, _ in rows for r in residuals]
+        results += [expand(e) for e in derived]
+
+    def no_work(e):
+        raise AssertionError(f"expand worked on its own result {e}")
+
+    monkeypatch.setattr(ex, "_expand", no_work)
+    for x in results:
+        assert expand(x) is x
+    with pytest.raises(AssertionError, match="expand worked"):
+        expand(parse("u*(v+1)"))
+
+
+def test_expand_caps_the_terms_it_forms():
+    with pytest.raises(ex.LimitError, match="more than the limit of 10000"):
+        expand(parse("(u+v+w+1)^40"))
+    a = ex.add(*[ex.param(f"a{i}") for i in range(101)])
+    b = ex.add(*[ex.param(f"b{i}") for i in range(100)])
+    with pytest.raises(ex.LimitError, match="10100 term products"):
+        expand(ex.mul(a, b))
+    assert len(expand(ex.mul(a, b.terms[0], ex.add(*b.terms[:99]))).terms) == 101 * 99
+
+
 # --- differentiation --------------------------------------------------
 
 
@@ -295,6 +371,13 @@ def test_evaluate_errors():
         parse("ln(-1)")
     with pytest.raises(DomainError):
         parse("1/0")
+
+
+def test_constant_domain_errors_in_text_are_parse_errors():
+    for text, message in (("1/0", "division by the zero"), ("u + ln(-1)", "ln of a non-positive")):
+        with pytest.raises(ParseError, match=message) as info:
+            parse(text)
+        assert isinstance(info.value, DomainError)
 
 
 def test_compiled_matches_recursive_evaluation():
@@ -396,6 +479,24 @@ def test_sample_box_keeps_what_a_sequential_accept_loop_keeps():
     _, P = sample_box(sampler, box, 30, keep=lambda P: ok(P[:, 0], P[:, 1]))
     assert P.tolist() == want
     # the shortfall is redrawn, never more: both streams are at the same place
+    assert sampler.random() == ref.random()
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all", "keep"])
+def test_sample_box_is_the_point_stream_at_scale(masked):
+    box = {"w": (-3.0, 0.5), "u": (0.0, 1.0), "t": (0.0, 2.0), "alpha": (1, 4)}
+    ok = lambda t, u: t * u < 0.8
+    ref = SeededSampler(17)
+    want = []
+    while len(want) < 100_000:
+        pt = ref.point(box)
+        if not masked or ok(pt["t"], pt["u"]):
+            want.append(list(pt.values()))
+    sampler = SeededSampler(17)
+    keep = (lambda P: ok(P[:, 1], P[:, 2])) if masked else None
+    names, P = sample_box(sampler, box, 100_000, keep=keep)
+    assert names == ("alpha", "t", "u", "w")
+    assert np.array_equal(P, np.array(want))
     assert sampler.random() == ref.random()
 
 

@@ -252,6 +252,26 @@ def test_hamiltonian_systems_are_decided_without_sampling(monkeypatch, name, par
     assert (o.sigma, o.deviation) == (-1, {-1: 0.0})
 
 
+def test_gradients_are_derived_once_per_verify(monkeypatch):
+    import sys
+
+    from biham3 import vecfield
+
+    original, calls = vecfield.gradient, []
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("biham3"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    verify_structure(cat.instantiate("modified-lu"))
+    assert len(calls) == 2
+
+
 def _at(exprs, point):
     names = [s for s, _ in point]
     return ex.compile_array(exprs, names)(np.array([[x for _, x in point]]))[0]
