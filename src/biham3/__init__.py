@@ -69,7 +69,6 @@ from .integrate import (
     Trajectory,
     convergence_order,
     ensemble,
-    integrate,
 )
 from .verify import (
     CheckResult,

@@ -900,6 +900,19 @@ def compile_vector(exprs, names):
     return _lambda(f"({body},)", exprs, names, _SCALAR_ENV)
 
 
+def compile_columns(exprs, names):
+    """Compile expressions into ``f(*columns)`` over numpy arrays.
+
+    Each argument is one array of values (one per name, all of one
+    shape); the result is a tuple with one array per expression, except
+    that a constant expression stays a Python float, which broadcasts.
+    The caller chooses the ``np.errstate``.
+    """
+    names = tuple(names)
+    body = ", ".join(_emit(e, names) for e in exprs)
+    return _lambda(f"({body},)" if exprs else "()", exprs, names, _ARRAY_ENV)
+
+
 def compile_array(exprs, names):
     """Compile expressions for evaluation over many points at once.
 
@@ -910,10 +923,8 @@ def compile_array(exprs, names):
     value, division by zero and overflow leave a non-finite entry, which
     callers treat as a domain failure at that point.
     """
-    names = tuple(names)
     exprs = tuple(exprs)
-    body = ", ".join(_emit(e, names) for e in exprs)
-    columns = _lambda(f"({body},)" if exprs else "()", exprs, names, _ARRAY_ENV)
+    columns = compile_columns(exprs, names)
 
     def evaluate_points(points):
         P = np.asarray(points, dtype=float)
@@ -1059,27 +1070,35 @@ class _Parser:
             raise ParseError(f"unexpected token {val!r}", at)
         return e
 
+    # A run of operands is combined by one ``add``/``mul`` call: folding
+    # them one at a time re-sorts the partial result on every operand,
+    # which is quadratic in the length of the run.
+
     def expr(self):
-        e = self.term()
+        terms = [self.term()]
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                e = add(e, rhs) if val == "+" else sub(e, rhs)
+                terms.append(rhs if val == "+" else neg(rhs))
             else:
-                return e
+                return terms[0] if len(terms) == 1 else add(*terms)
 
     def term(self):
-        e = self.factor()
+        factors = [self.factor()]
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
+            if kind == "op" and val == "*":
                 self.take()
-                rhs = self.factor()
-                e = mul(e, rhs) if val == "*" else quot(e, rhs)
+                factors.append(self.factor())
+            elif kind == "op" and val == "/":
+                self.take()
+                # ``/`` binds left to right: it divides the product so far
+                e = factors[0] if len(factors) == 1 else mul(*factors)
+                factors = [quot(e, self.factor())]
             else:
-                return e
+                return factors[0] if len(factors) == 1 else mul(*factors)
 
     def factor(self):
         # every nesting construct recurses through here, so one counter

@@ -21,9 +21,21 @@ trajectories, monitors and step counts are bit-identical to that loop's;
 ``tests/test_integrate.py`` pins their digests.  An ensemble compiles
 the right-hand side, the monitors and the kernel once for all members.
 
+An ensemble's adaptive members that share ``(t0, t1, sample_dt)`` are
+stepped together, once there are ``_BATCH_MIN`` of them, by a lockstep
+numpy kernel over arrays of members.  It does the scalar kernel's float
+operations in the same order, element by element, with a right-hand side
+compiled from the same expression source.  It differs from the scalar
+kernel only where numpy's ``exp``, ``power`` and squares round
+differently from libm's: on the qi ensemble every member takes the same
+steps and its states agree to about 1e-13 relative, but not to the bit.
+Members that abort are run again alone by the scalar kernel; everything
+else (smaller groups, rk4 members, :func:`integrate`) only ever runs the
+scalar kernel.
+
 Everything here is deterministic: no randomness, fixed evaluation
-order, plain Python floats.  Identical configurations produce
-bit-identical trajectories.
+order.  Identical configurations produce bit-identical trajectories,
+within one batch as well as on the scalar kernel.
 
 [1] Dormand & Prince, J. Comp. Appl. Math. 6 (1980) 19-26.
 [2] Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
@@ -35,6 +47,8 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import expr as ex
 from .vecfield import ScalarField, VectorField3
@@ -177,21 +191,50 @@ def integrate(X: VectorField3, cfg: IntegratorConfig, monitors=None, quadratures
 
 
 def ensemble(X, configs, monitors=None, quadratures=None):
-    """Independent trajectories, sequential and deterministic; a failure
-    in one trajectory is isolated in its own Trajectory.aborted.
+    """Independent trajectories, deterministic; a failure in one
+    trajectory is isolated in its own Trajectory.aborted.
 
-    The right-hand side, the monitors and the Dormand-Prince kernel are
-    built once and shared by every member; each member's trajectory is
-    the one :func:`integrate` gives for its configuration alone.
+    Adaptive members that share ``(t0, t1, sample_dt)``, and so one sample
+    grid, are stepped together by a lockstep numpy kernel once at least
+    ``_BATCH_MIN`` of them do.  A batched member agrees with what
+    :func:`integrate` gives for its configuration alone to roundoff, not
+    to the bit, because numpy's ``exp``, ``power`` and squares differ
+    from libm's in the last bit: the tests see equal accepted and
+    rejected counts, equal ``times``, and states, quadratures and
+    monitors within 1e-9 relative.  A member that underflows its step
+    size or meets a non-finite value is taken out of the batch and run
+    alone, so its partial trajectory and reason are exactly
+    :func:`integrate`'s.  Every other member (smaller groups, rk4) runs
+    the scalar kernel and equals :func:`integrate` bit for bit.  Repeated
+    runs on one machine give identical bits either way.
     """
     monitors = list((monitors or {}).items())
     quadratures = list((quadratures or {}).items())
-    rhs = _compile_rhs(X, [sf for _, sf in quadratures])
-    mons = _compile_monitors(monitors, X.frame, X.time)
-    dim = 3 + len(quadratures)
-    kernel = _dopri_kernel(dim) if any(c.method == "adaptive" for c in configs) else None
     quad_names = [name for name, _ in quadratures]
-    return [_run(X.frame, rhs, mons, quad_names, kernel, cfg) for cfg in configs]
+    out = [None] * len(configs)
+    groups = {}
+    for n, cfg in enumerate(configs):
+        if cfg.method == "adaptive":
+            groups.setdefault((cfg.t0, cfg.t1, cfg.sample_dt), []).append(n)
+    groups = [members for members in groups.values() if len(members) >= _BATCH_MIN]
+    if groups:
+        names = X.frame + (X.time,)
+        f = ex.compile_columns([c.expr for c in X.components] + [sf.expr for _, sf in quadratures], names)
+        mon = ex.compile_array([sf.expr for _, sf in monitors], names)
+        mon_names = [name for name, _ in monitors]
+        for members in groups:
+            cfgs = [configs[n] for n in members]
+            for n, traj in zip(members, _batch(f, mon, X.frame, mon_names, quad_names, cfgs)):
+                out[n] = traj
+    rest = [n for n, traj in enumerate(out) if traj is None]
+    if rest:
+        rhs = _compile_rhs(X, [sf for _, sf in quadratures])
+        mons = _compile_monitors(monitors, X.frame, X.time)
+        adaptive = any(configs[n].method == "adaptive" for n in rest)
+        kernel = _dopri_kernel(3 + len(quadratures)) if adaptive else None
+        for n in rest:
+            out[n] = _run(X.frame, rhs, mons, quad_names, kernel, configs[n])
+    return out
 
 
 def _run(frame, rhs, mons, quad_names, kernel, cfg):
@@ -426,11 +469,190 @@ def _dopri_kernel(dim):
     return namespace["dopri"]
 
 
+# ---------------------------------------------------------------------------
+# lockstep Dormand-Prince kernel
+#
+# The members of one group share t0, t1 and the sample grid; each keeps its
+# own t, h, facold, tolerances and step bounds, as arrays over the live
+# members, and its state as a (dim, members) array.  One pass of the loop
+# makes one accepted or rejected step for every live member, with the same
+# elementwise operations, in the same order, as the scalar kernel's (zero
+# tableau entries included).  The right-hand side comes from the same
+# emitted body as the scalar one, evaluated by numpy ufuncs.  Members leave
+# the arrays when they reach t1; a member that underflows its step size or
+# meets a non-finite derivative or state leaves them too, marked to be run
+# alone by the scalar kernel.
+
+_BATCH_MIN = 24  # smallest group the lockstep kernel runs; see _batch
+
+
+def _wsum(products):
+    """``0.0 + products[0] + products[1] + ...``, summed as the scalar
+    kernel sums its tableau rows."""
+    acc = 0.0
+    for p in products:
+        acc = acc + p
+    return acc
+
+
+def _column(coeffs):
+    return np.array(coeffs)[:, None, None]
+
+
+def _stage(f, k, z, t):
+    for i, column in enumerate(f(z[0], z[1], z[2], t)):
+        k[i] = column
+
+
+def _batch(f, mon, frame, mon_names, quad_names, cfgs):
+    """Trajectories of members sharing ``(t0, t1, sample_dt)``, stepped in
+    lockstep; None for each member that must be run by the scalar kernel.
+
+    ``f`` is the right-hand side from :func:`expr.compile_columns` and
+    ``mon`` the monitors from :func:`expr.compile_array`.  Below
+    ``_BATCH_MIN`` members the per-step numpy overhead costs more than the
+    scalar kernel's per-member loop: on qi members from t=0 to t=10, a
+    batch runs at 0.8 times the scalar speed with 16 members, 1.0 times
+    with 20, 1.1 times with 24, 1.4 times with 32 and 4.4 times with 256.
+    """
+    grid = _sample_times(cfgs[0])
+    with np.errstate(all="ignore"):
+        block, done, accepted, rejected, rerun = _lockstep(f, cfgs, grid, 3 + len(quad_names))
+    grid_t = np.array([cfgs[0].t0] + grid)
+    out = []
+    for j, cfg in enumerate(cfgs):
+        if rerun[j]:
+            out.append(None)
+            continue
+        rows = block[j, : 1 + done[j]]
+        columns = rows.T.tolist()
+        traj = Trajectory(
+            frame=frame,
+            # every sample time is at most t1, so these are the times the
+            # scalar kernel emits, as the very float objects of one grid
+            times=[cfg.t0, *grid[: done[j]]],
+            states=list(zip(*columns[:3])),
+            accepted=int(accepted[j]),
+            rejected=int(rejected[j]),
+        )
+        for name, column in zip(quad_names, columns[3:]):
+            traj.quadratures[name] = column
+        if mon_names:
+            points = np.empty((len(rows), 4))
+            points[:, :3] = rows[:, :3]
+            points[:, 3] = grid_t[: len(rows)]
+            values = mon(points)
+            if not np.isfinite(values).all():
+                # the scalar path raises or returns what its monitors do
+                out.append(None)
+                continue
+            traj.monitors = dict(zip(mon_names, values.T.tolist()))
+        out.append(traj)
+    return out
+
+
+def _lockstep(f, cfgs, grid, dim):
+    """Run the group; return the ``(members, rows, dim)`` sample block (row
+    0 the initial state), the samples each member emitted, its accepted
+    and rejected step counts, and which members must be run alone."""
+    m = len(cfgs)
+    t0, t1 = cfgs[0].t0, cfgs[0].t1
+    grid = np.array(grid)
+    block = np.zeros((m, 1 + len(grid), dim))
+    block[:, 0, :3] = [cfg.y0 for cfg in cfgs]
+    done = np.zeros(m, dtype=np.intp)
+    accepted = np.zeros(m, dtype=np.intp)
+    rejected = np.zeros(m, dtype=np.intp)
+    rerun = np.zeros(m, dtype=bool)
+    A = [_column(row) for row in _A]
+    B5 = _column(_B5)
+    E = _column(_E)
+    P = [np.array(c)[:, None] for c in zip(*_P)]  # coefficient of th^(i+1), per stage
+
+    pos = np.arange(m)  # block row of each live member
+    rtol, atol, max_step, min_step = np.array(
+        [(cfg.rtol, cfg.atol, cfg.max_step, cfg.min_step) for cfg in cfgs], dtype=float
+    ).T
+    h = np.minimum(max_step, (t1 - t0) / 100.0)
+    t = np.full(m, t0, dtype=float)
+    facold = np.full(m, 1e-4)
+    y = block[:, 0].T.copy()
+    a = abs(t1)
+    t_end = t1 - 1e-14 * (a if a > 1.0 else 1.0)
+    k0 = np.empty((dim, m))
+    _stage(f, k0, y, t)
+    bad = ~np.isfinite(k0).all(axis=0)
+    while True:
+        rerun[pos[bad]] = True
+        live = ~bad & (t < t_end)
+        if not live.all():
+            pos, t, h, facold, rtol, atol, max_step, min_step = (
+                v[live] for v in (pos, t, h, facold, rtol, atol, max_step, min_step)
+            )
+            y, k0 = y[:, live], k0[:, live]
+        if not pos.size:
+            return block, done, accepted, rejected, rerun
+        d = t1 - t
+        h = np.where(d < h, d, h)
+        bad = h < min_step
+        K = np.empty((7,) + y.shape)
+        K[0] = k0
+        for s in range(1, 7):
+            _stage(f, K[s], y[:3] + h * _wsum(A[s] * K[:s, :3]), t + _C[s] * h)
+        yn = y + h * _wsum(B5 * K)
+        # every stage enters this sum (0.0 * inf is nan), so a finite new
+        # state means finite derivatives too
+        bad |= ~np.isfinite(yn).all(axis=0)
+        e = h * _wsum(E * K)
+        ratio2 = (e / (atol + rtol * np.maximum(np.abs(yn), np.abs(y)))) ** 2
+        err = np.sqrt(_wsum(ratio2) / dim)
+        ok = (err <= 1.0) & ~bad
+        tn = t + h
+        if ok.any():
+            _dense(block, grid, done, pos, np.flatnonzero(ok), t, h, tn, y, K, P)
+        fac = np.where(err > 0, _SAFETY * err**-0.17 * facold**0.04, _FAC_MAX)
+        fac = np.where(fac > _FAC_MIN, fac, _FAC_MIN)
+        fac = np.where(fac < _FAC_MAX, fac, _FAC_MAX)
+        grown = h * fac
+        shrink = _SAFETY * err**-0.2
+        shrink = np.where(shrink > _FAC_MIN, shrink, _FAC_MIN)
+        h = np.where(ok, np.where(grown < max_step, grown, max_step), h * np.where(shrink < 1.0, shrink, 1.0))
+        facold = np.where(ok, np.where(1e-4 > err, 1e-4, err), facold)
+        t = np.where(ok, tn, t)
+        y = np.where(ok, yn, y)
+        k0 = np.where(ok, K[6], k0)
+        accepted[pos] += ok
+        rejected[pos] += ~ok
+
+
+def _dense(block, grid, done, pos, sel, t, h, tn, y, K, P):
+    """Dense output of the accepted steps of live members ``sel``, at every
+    grid time up to each one's new time ``tn``: all (member, sample) pairs
+    at once."""
+    a = np.abs(tn[sel])
+    lim = tn[sel] + 1e-14 * np.where(a > 1.0, a, 1.0)
+    start = done[pos[sel]]
+    stop = np.searchsorted(grid, lim, side="right")
+    done[pos[sel]] = stop
+    count = stop - start
+    if not count.any():
+        return
+    who = np.repeat(sel, count)
+    sample = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    hw = h[who]
+    th = (grid[sample] - t[who]) / hw
+    th = np.where(th > 0.0, th, 0.0)
+    th = np.where(th < 1.0, th, 1.0)
+    th2 = th * th
+    th3 = th2 * th
+    th4 = th2 * th2
+    w = P[0] * th + P[1] * th2 + P[2] * th3 + P[3] * th4  # (stage, pair)
+    block[pos[who], 1 + sample] = (y[:, who] + hw * _wsum(K[:, :, who] * w[:, None])).T
+
+
 def convergence_order(X, t0, t1, y0, exact, steps):
     """Least-squares slope of log(max error at t1) against log(h)
     for the fixed-step RK4 scheme."""
-    import numpy as np
-
     errors = []
     for h in steps:
         cfg = IntegratorConfig(t0=t0, t1=t1, y0=y0, method="rk4", step=h)

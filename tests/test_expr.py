@@ -345,6 +345,63 @@ def test_round_trip_on_random_corpus():
         assert parse(to_text(e)) == e, to_text(e)
 
 
+class _FoldParser(ex._Parser):
+    """The parser as it folded operands one at a time: the reference that
+    parsing a whole run of operands in one call must reproduce."""
+
+    def expr(self):
+        e = self.term()
+        while True:
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in "+-":
+                return e
+            self.take()
+            rhs = self.term()
+            e = ex.add(e, rhs) if val == "+" else ex.sub(e, rhs)
+
+    def term(self):
+        e = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in "*/":
+                return e
+            self.take()
+            rhs = self.factor()
+            e = ex.mul(e, rhs) if val == "*" else ex.quot(e, rhs)
+
+
+def test_parsing_runs_at_once_gives_the_folded_result(monkeypatch):
+    texts = []
+    with monkeypatch.context() as m:
+        m.setattr(cat, "parse", lambda text: texts.append(text) or parse(text))
+        cat._build_catalog()
+    assert len(texts) > 100
+    texts += [to_text(e) for e in catalog_expressions()]
+    sampler = SeededSampler(11)
+    texts += [to_text(random_expression(sampler, ("u", "v", "w", "t"), 7)) for _ in range(1500)]
+    for text in texts:
+        assert parse(text) == _FoldParser(text).parse(), text
+
+
+def test_a_long_sum_or_product_is_one_add_or_mul_call(monkeypatch):
+    calls = {"add": 0, "mul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ex, "add", counted("add", ex.add))
+    monkeypatch.setattr(ex, "mul", counted("mul", ex.mul))
+    total = parse(" + ".join(f"x{k}" for k in range(4000)))
+    assert calls["add"] <= 2 and len(total.terms) == 4000
+    calls["mul"] = 0
+    product = parse("*".join(f"(u + {k})" for k in range(1, 4001)))
+    assert calls["mul"] <= 2 and len(product.factors) == 4000
+
+
 # --- evaluation -------------------------------------------------------
 
 

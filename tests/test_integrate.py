@@ -14,6 +14,7 @@ import pytest
 
 from biham3 import catalog as cat
 from biham3 import expr as ex
+from biham3 import integrate as integrate_mod
 from biham3.expr import parse
 from biham3.integrate import (
     IntegrationError,
@@ -423,3 +424,155 @@ def test_rhs_failure_at_the_initial_state():
     assert traj.aborted == "right-hand side failed at t=0: math domain error"
     assert traj.times == [0.0] and traj.states == [(-1.0, 0.0, 0.0)]
     assert (traj.accepted, traj.rejected) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches: adaptive members sharing (t0, t1, sample_dt) step together
+# once there are _BATCH_MIN of them.  They take integrate's steps and times,
+# and agree with its states to roundoff; aborting members are run alone and
+# give integrate's bits.
+
+BATCH = integrate_mod._BATCH_MIN
+
+
+def _starts(seed, n, lo=-1.0, hi=1.0):
+    from biham3.sampling import SeededSampler
+
+    sampler = SeededSampler(seed)
+    return [tuple(sampler.uniform(lo, hi) for _ in range(3)) for _ in range(n)]
+
+
+def _batched(monkeypatch, X, cfgs, **kwargs):
+    """ensemble() with the scalar kernel's right-hand side unavailable, so
+    every member must come from the lockstep kernel."""
+
+    def no_scalar_path(*args):
+        raise AssertionError("member left the batch")
+
+    with monkeypatch.context() as m:
+        m.setattr(integrate_mod, "_compile_rhs", no_scalar_path)
+        return ensemble(X, cfgs, **kwargs)
+
+
+def _assert_close(batched, alone, scales):
+    """Equal step counts and times; states, quadratures and monitors within
+    1e-9 of integrate's, relative to one plus the largest term of the
+    quantity (``scales`` maps a monitor name to its term-scale function)."""
+    assert batched.ok() and alone.ok()
+    assert (batched.accepted, batched.rejected) == (alone.accepted, alone.rejected)
+    assert batched.times == alone.times
+    for a, b in zip(batched.states, alone.states):
+        assert all(abs(x - y) <= 1e-9 * (1.0 + abs(y)) for x, y in zip(a, b))
+    assert batched.quadratures.keys() == alone.quadratures.keys()
+    for name, values in alone.quadratures.items():
+        assert all(abs(x - y) <= 1e-9 * (1.0 + abs(y)) for x, y in zip(batched.quadratures[name], values))
+    assert list(batched.monitors) == list(alone.monitors)
+    for name, values in alone.monitors.items():
+        scale = scales[name]
+        for t, y, x, v in zip(alone.times, alone.states, batched.monitors[name], values):
+            assert abs(x - v) <= 1e-9 * (1.0 + scale(y, t)), (name, t)
+
+
+@pytest.mark.parametrize("name,t1", [("lu-transformed", 5.0), ("qi", 5.0)])
+def test_batched_members_agree_with_integrate(monkeypatch, name, t1):
+    d = cat.instantiate(name)
+    X = d.bound_field()
+    monitors = {"H1": d.bound_scalar(d.h1), "H2": d.bound_scalar(d.h2)}
+    scales = {k: term_scale_fn(sf.expr, d.frame, "t") for k, sf in monitors.items()}
+    cfgs = [IntegratorConfig(t0=0.0, t1=t1, y0=y0) for y0 in _starts(3, BATCH)]
+    out = _batched(monkeypatch, X, cfgs, monitors=monitors)
+    for traj, cfg in zip(out, cfgs):
+        _assert_close(traj, integrate(X, cfg, monitors=monitors), scales)
+
+
+def test_batched_members_keep_their_own_tolerances_and_step_bounds(monkeypatch):
+    d = cat.instantiate("qi", gamma=2)
+    X = d.bound_field()
+    cfgs = [
+        IntegratorConfig(
+            t0=0.0, t1=3.0, y0=y0,
+            rtol=10.0 ** -(8 + k % 3), atol=10.0 ** -(9 + k % 4), max_step=(0.05, 0.1, 0.2)[k % 3],
+        )
+        for k, y0 in enumerate(_starts(4, BATCH))
+    ]
+    out = _batched(monkeypatch, X, cfgs)
+    for traj, cfg in zip(out, cfgs):
+        _assert_close(traj, integrate(X, cfg), {})
+    # the tolerances took effect: the loosest members take the fewest steps
+    assert len({traj.accepted for traj in out}) > 3
+
+
+def test_batched_chen_variant_with_quadrature(monkeypatch):
+    d, monitors, quads = _chen_variant_quadrature()
+    X = d.bound_field()
+    scales = {k: term_scale_fn(sf.expr, d.frame, "t") for k, sf in monitors.items()}
+    cfgs = [IntegratorConfig(t0=0.0, t1=2.0, y0=y0) for y0 in _starts(5, BATCH, 0.05, 0.15)]
+    out = _batched(monkeypatch, X, cfgs, monitors=monitors, quadratures=quads)
+    for traj, cfg in zip(out, cfgs):
+        _assert_close(traj, integrate(X, cfg, monitors=monitors, quadratures=quads), scales)
+        # F2 changes only through its explicit time dependence
+        f2, acc = traj.monitors["F2"], traj.quadratures["int_dF2"]
+        for t, y, v, q in zip(traj.times, traj.states, f2, acc):
+            assert abs(v - f2[0] - q) <= 1e-6 * (1.0 + scales["F2"](y, t))
+
+
+@pytest.mark.parametrize(
+    "field,t1,bad,good",
+    [
+        (NAN_FIELD, 30.0, (1.0, 0.0, 0.0), lambda k: (1e-6 * (1 + k / 8), 0.0, 0.25)),
+        (HUGE_FIELD, 3.0, (0.0, 0.0, 0.0), lambda k: (-1.7e308 + k * 1e306, 0.0, 1.0)),
+        (None, 20.0, (1.0, 1.0, 1.0), lambda k: (1e-12 * (1 + k), 0.0, 0.1 * k)),
+    ],
+    ids=["nan", "overflow", "chen-variant-underflow"],
+)
+def test_aborting_members_leave_the_batch_with_integrates_bits(field, t1, bad, good):
+    X = field or cat.instantiate("chen-variant").bound_field()
+    cfgs = [IntegratorConfig(t0=0.0, t1=t1, y0=good(k)) for k in range(BATCH)]
+    cfgs.insert(BATCH // 2, IntegratorConfig(t0=0.0, t1=t1, y0=bad))
+    out = ensemble(X, cfgs)
+    alone = integrate(X, cfgs[BATCH // 2])
+    assert not alone.ok()
+    assert _bits(out[BATCH // 2]) == _bits(alone)
+    assert all(traj.ok() for k, traj in enumerate(out) if k != BATCH // 2)
+
+
+def test_members_with_non_finite_monitors_leave_the_batch():
+    cfgs = [IntegratorConfig(t0=0.0, t1=1.0, y0=(1.0 + k / 64, 0.0, 0.0)) for k in range(BATCH)]
+    cfgs.append(IntegratorConfig(t0=0.0, t1=1.0, y0=(1e5, 0.0, 0.0)))
+    huge = {"huge": ScalarField(parse("1e300*u^2"), UVW)}  # inf, not an error, past u = 1e4
+    out = ensemble(HARMONIC, cfgs, monitors=huge)
+    assert out[-1] == integrate(HARMONIC, cfgs[-1], monitors=huge)
+    assert math.isinf(out[-1].monitors["huge"][0])
+    assert all(math.isfinite(v) for traj in out[:-1] for v in traj.monitors["huge"])
+    # a monitor the scalar path cannot evaluate raises there, and so here
+    log = {"log": ScalarField(parse("ln(u)"), UVW)}
+    cfgs = [IntegratorConfig(t0=0.0, t1=2.0, y0=(1.0 + k / 64, 0.0, 0.0)) for k in range(BATCH)]
+    with pytest.raises(ValueError):
+        integrate(HARMONIC, cfgs[0], monitors=log)
+    with pytest.raises(ValueError):
+        ensemble(HARMONIC, cfgs, monitors=log)
+
+
+def test_identical_members_of_a_batch_are_equal(monkeypatch):
+    d = cat.instantiate("qi", gamma=2)
+    starts = _starts(6, BATCH)
+    cfgs = [IntegratorConfig(t0=0.0, t1=2.0, y0=y0) for y0 in starts + starts[:1]]
+    out = _batched(monkeypatch, d.bound_field(), cfgs, monitors={"H1": d.bound_scalar(d.h1)})
+    assert out[0] == out[-1]
+
+
+def test_small_groups_stay_on_the_scalar_kernel():
+    d = cat.instantiate("qi", gamma=2)
+    X = d.bound_field()
+    monitors = {"H1": d.bound_scalar(d.h1)}
+    batch = [IntegratorConfig(t0=0.0, t1=2.0, y0=y0) for y0 in _starts(7, BATCH)]
+    pair = [IntegratorConfig(t0=0.0, t1=3.0, y0=y0) for y0 in _starts(8, 2)]
+    out = ensemble(X, pair[:1] + batch + pair[1:], monitors=monitors)
+    assert [out[0], out[-1]] == [integrate(X, cfg, monitors=monitors) for cfg in pair]
+
+
+def test_package_attribute_is_the_integrate_module():
+    import biham3
+
+    assert biham3.integrate is integrate_mod
+    assert biham3.integrate.ensemble is ensemble
