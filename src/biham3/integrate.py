@@ -185,7 +185,8 @@ def integrate(X: VectorField3, cfg: IntegratorConfig, monitors=None, quadratures
 
     Step underflow, a failing right-hand side or a non-finite derivative
     or state aborts with the partial trajectory and a reason in
-    ``Trajectory.aborted``.
+    ``Trajectory.aborted``; so does a monitor that cannot be evaluated at
+    a sample, which cuts the trajectory back to the samples before it.
     """
     return ensemble(X, [cfg], monitors, quadratures)[0]
 
@@ -259,8 +260,27 @@ def _run(frame, rhs, mons, quad_names, kernel, cfg):
             _sample_times(cfg), traj.times, traj.states, quads,
         )
     for name, f in mons:
-        traj.monitors[name] = [f(u, v, w, t) for t, (u, v, w) in zip(traj.times, traj.states)]
+        try:
+            traj.monitors[name] = [f(u, v, w, t) for t, (u, v, w) in zip(traj.times, traj.states)]
+        except _RHS_ERRORS:
+            traj.monitors[name] = _monitor_until_failure(traj, name, f)
     return traj
+
+
+def _monitor_until_failure(traj, name, f):
+    """The values of a monitor that fails at some sample.  Cuts the
+    trajectory back to the samples before the first failing one and
+    records the failure as the reason the run aborted."""
+    values = []
+    for t, (u, v, w) in zip(traj.times, traj.states):
+        try:
+            values.append(f(u, v, w, t))
+        except _RHS_ERRORS as err:
+            traj.aborted = f"monitor {name} failed at t={t:.6g}: {err}"
+            break
+    for column in (traj.times, traj.states, *traj.quadratures.values(), *traj.monitors.values()):
+        del column[len(values):]
+    return values
 
 
 def _try_rhs(rhs, t, y, traj):

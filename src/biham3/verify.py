@@ -10,10 +10,12 @@ drawn at most once per run (Schwartz 1980, Zippel 1979), with the worst
 point reported as the witness.
 
 Sampled residuals are reported raw and relative, where "relative"
-divides by one plus the largest participating term magnitude at the
-sample point.  The exponential weights of the non-autonomous systems
-make raw scales vary over many orders of magnitude; term-relative
-normalization is what keeps a 1e-12 tolerance meaningful everywhere.
+divides by one plus the largest magnitude, at the sample point, of the
+top-level terms of the group's expanded residuals: each check is judged
+against the terms of its own residuals.  The exponential weights of the
+non-autonomous systems make raw scales vary over many orders of
+magnitude; term-relative normalization is what keeps a 1e-12 tolerance
+meaningful everywhere.
 
 Check groups, in order: (1) Jacobi identity for J1 and J2,
 (2) compatibility, (3) pencil Jacobi over six pencil coefficients,
@@ -29,14 +31,16 @@ import datetime
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import operator
+from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import expr as ex
 from .sampling import SeededSampler, random_polynomial, sample_box
-from .vecfield import ScalarField, VectorField3, curl, dot, gradient, scale, vadd
+from .vecfield import ScalarField, VectorField3, dot, gradient, scale, vadd
 from .poisson import (
     NambuStructure,
     casimir_residual,
@@ -45,12 +49,12 @@ from .poisson import (
     jacobi_residual,
     multiplier_residual,
     nambu_field,
-    pencil,
 )
 from .catalog import ConstraintError, instantiate
 
 PENCIL_COEFFICIENTS = (-10, -1, "-0.3", "0.3", 1, 10)
 MULTIPLIER_FLOOR = 1e-9
+FI_TOL = 1e-8  # relative tolerance of the sampled fundamental identity
 
 
 @dataclass(frozen=True)
@@ -59,19 +63,12 @@ class SampleConfig:
     seed: int = 42
     domain: dict = None  # symbol -> (lo, hi); default [-2,2]^3 x t in [0,2]
     tol: float = 1e-12
-    fi_tol: float = 1e-8
-    tolerances: dict = field(default_factory=dict)  # per-check overrides
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"sample count must be at least 1, got {self.n}")
-        for name in ("tol", "fi_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-
-    def check_tol(self, name):
-        return self.tolerances.get(name, self.tol)
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
 
 @dataclass
@@ -183,34 +180,10 @@ def _derive(defn):
     return d
 
 
-def _products(A, B, cross=False):
-    """The expanded term products a_i*b_j of A.B (i == j) or of A x B
-    (i != j); their largest magnitude normalizes a sampled residual."""
-    return [
-        ex.expand(ex.mul(a, b))
-        for i, a in enumerate(A.exprs())
-        for j, b in enumerate(B.exprs())
-        if (i != j) == cross
-    ]
-
-
-def _multiplier_row(d):
-    return (
-        "multiplier",
-        [multiplier_residual(d.M, d.X).expr],
-        lambda: [
-            ex.expand(ex.differentiate(c, v))
-            for c, v in zip(scale(d.X, d.M.expr).exprs(), d.X.frame)
-        ],
-    )
-
-
 def _structure_rows(d, sigma):
     """The check table of a system with a Hamiltonian pair: one row
-    ``(group, residuals, scales)`` per group, in report order.  The
-    residuals are the identities of :mod:`biham3.poisson`; ``scales``
-    builds the term products that normalize them, and runs only for a
-    group that is sampled."""
+    ``(group, residuals)`` per group, in report order, whose residuals
+    are the identities of :mod:`biham3.poisson`."""
     X = d.X
     j1, j2 = d.J
     G1, G2 = d.G
@@ -219,16 +192,8 @@ def _structure_rows(d, sigma):
     jac1, jac2 = jacobi_residual(j1).expr, jacobi_residual(j2).expr
     compat = compatibility_residual(j1, j2).expr
     return (
-        (
-            "jacobi",
-            [jac1, jac2],
-            lambda: _products(j1, curl(j1)) + _products(j2, curl(j2)),
-        ),
-        (
-            "compatibility",
-            [compat],
-            lambda: _products(j1, curl(j2)) + _products(j2, curl(j1)),
-        ),
+        ("jacobi", [jac1, jac2]),
+        ("compatibility", [compat]),
         (
             # P.curl(P) for P = J1 + c*J2 is jac1 + c*compat + c^2*jac2
             "pencil",
@@ -236,58 +201,44 @@ def _structure_rows(d, sigma):
                 ex.add(jac1, ex.mul(c, compat), ex.mul(c, c, jac2))
                 for c in map(ex.con, PENCIL_COEFFICIENTS)
             ],
-            lambda: [
-                e
-                for P in (pencil(j1, j2, c) for c in PENCIL_COEFFICIENTS)
-                for e in _products(P, curl(P))
-            ],
         ),
-        (
-            "casimir",
-            [*casimir_residual(j1, G1).exprs(), *casimir_residual(j2, G2).exprs()],
-            lambda: _products(j1, G1, cross=True) + _products(j2, G2, cross=True),
-        ),
-        _multiplier_row(d),
+        ("casimir", [*casimir_residual(j1, G1).exprs(), *casimir_residual(j2, G2).exprs()]),
+        ("multiplier", [multiplier_residual(d.M, X).expr]),
         (
             "biham",
             [*vadd(X, scale(d.F, -sigma)).exprs(), *vadd(X, scale(F2, -sigma)).exprs()],
-            lambda: [
-                *X.exprs(),
-                *scale(d.F, sigma).exprs(),
-                *_products(j1, G2, cross=True),
-                *_products(j2, G1, cross=True),
-            ],
         ),
-        (
-            "nambu",
-            list(vadd(X, scale(nb, -sigma)).exprs()),
-            lambda: [*X.exprs(), *scale(nb, sigma).exprs()],
-        ),
-        (
-            "orthogonality",
-            [dot(G1, X).expr, dot(G2, X).expr],
-            lambda: _products(G1, X) + _products(G2, X),
-        ),
+        ("nambu", list(vadd(X, scale(nb, -sigma)).exprs())),
+        ("orthogonality", [dot(G1, X).expr, dot(G2, X).expr]),
     )
 
 
-def _decide(name, residuals, scales, points, cfg):
+def _decide(name, residuals, points, cfg):
     """One check group: exact when every residual expands to ZERO,
-    otherwise sampled, with the worst sample point as its witness."""
-    tol = cfg.check_tol(name)
+    otherwise sampled, with the worst sample point as its witness.
+
+    A sampled residual is judged against its own terms: each top-level
+    term of the group's expanded residuals is one compiled column, a
+    residual is the left-to-right sum of its columns (the order of the
+    compiled sum, so its values are those of the whole residual), and
+    the relative residual divides by one plus the largest term magnitude
+    of the group at that point."""
     residuals = [ex.expand(r) for r in residuals]
     if all(r == ex.ZERO for r in residuals):
-        return CheckResult(name, 0, 0.0, 0.0, 0.0, tol, True, "exact")
+        return CheckResult(name, 0, 0.0, 0.0, 0.0, cfg.tol, True, "exact")
     names, pts = points()
-    k = len(residuals)
-    V = ex.compile_array(residuals + scales(), names)(pts)
-    R = np.abs(V[:, :k])
-    rel = (R / (1.0 + np.abs(V[:, k:]).max(axis=1, initial=0.0))[:, None]).max(axis=1)
+    terms = [r.terms if isinstance(r, ex.Add) else (r,) for r in residuals]
+    T = ex.compile_array([t for ts in terms for t in ts], names)(pts)
+    columns = iter(T.T)
+    R = np.abs(
+        np.column_stack([functools.reduce(operator.add, islice(columns, len(ts))) for ts in terms])
+    )
+    rel = (R / (1.0 + np.abs(T).max(axis=1))[:, None]).max(axis=1)
     i = int(np.argmax(rel))
     max_rel = float(rel[i])
     rms = float(np.sqrt(np.mean(R * R)))
     return CheckResult(
-        name, len(pts), float(R.max()), max_rel, rms, tol, max_rel <= tol, "sampled",
+        name, len(pts), float(R.max()), max_rel, rms, cfg.tol, max_rel <= cfg.tol, "sampled",
         _point(names, pts[i]),
     )
 
@@ -336,7 +287,7 @@ def _fit_orientation(X, F, frame, names, pts, cfg):
     per_component = {
         v: (1 if p <= m else -1) for v, p, m in zip(frame, comp_dev[1], comp_dev[-1])
     }
-    if dev[best] <= cfg.check_tol("orientation"):
+    if dev[best] <= cfg.tol:
         return OrientationResult(
             best, dev, per_component, f"orientation {best:+d} fits to {dev[best]:.3e} (sampled)"
         )
@@ -366,7 +317,8 @@ def verify_structure(defn, cfg=None):
             "no Hamiltonian pair: jacobi/compatibility/pencil/casimir/"
             "bi-Hamiltonian/nambu/orthogonality checks skipped"
         )
-        orient, rows, discrepancies = None, [_multiplier_row(d)], []
+        orient, discrepancies = None, []
+        rows = [("multiplier", [multiplier_residual(d.M, d.X).expr])]
     else:
         orient = _orientation(d, points, cfg)
         if defn.orientation is not None and orient.sigma is not None and orient.sigma != defn.orientation:
@@ -378,7 +330,7 @@ def verify_structure(defn, cfg=None):
         rows = _structure_rows(d, orient.sigma or defn.orientation or 1)
         discrepancies = _compare_printed(d, cfg)
 
-    checks = [_decide(name, res, scales, points, cfg) for name, res, scales in rows]
+    checks = [_decide(name, res, points, cfg) for name, res in rows]
     if orient is not None and orient.sigma is None:
         checks.append(
             CheckResult(
@@ -472,10 +424,9 @@ def verify_fundamental_identity(structure: NambuStructure, cfg=None, instances=3
     max_abs = float(res.max(initial=0.0))
     max_rel = float(rel.max(initial=0.0))
     rms = float(np.sqrt(np.mean(res * res))) if res.size else 0.0
-    tol = cfg.tolerances.get("fundamental_identity", cfg.fi_tol)
     k, i = np.unravel_index(int(np.argmax(rel)), rel.shape)
     return CheckResult(
-        "fundamental_identity", res.size, max_abs, max_rel, rms, tol, max_rel <= tol,
+        "fundamental_identity", res.size, max_abs, max_rel, rms, FI_TOL, max_rel <= FI_TOL,
         "sampled", _point(names, drawn[k][i]),
     )
 

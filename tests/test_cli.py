@@ -105,6 +105,23 @@ def test_simulate_abort_exit_code(tmp_path, capsys):
     assert "aborted" in err
 
 
+@pytest.mark.parametrize("method", ["adaptive", "rk4"])
+def test_simulate_monitor_failure_is_an_abort(tmp_path, capsys, method):
+    # ln(u) cannot be evaluated once u = cos(t) reaches zero
+    path = tmp_path / "circle.system"
+    path.write_text("name = circle\nframe = u v w\nfield = v ; -u ; 0\nh1 = ln(u)\nh2 = w\n")
+    out_csv = tmp_path / "c.csv"
+    code, _, err = run(
+        ["simulate", str(path), "--init", "1,0,0", "--t1", "3", "--monitors", "h1",
+         "--method", method, "--step", "0.01", "--out", str(out_csv)],
+        capsys,
+    )
+    assert code == 1
+    assert err == "integration aborted: monitor H1 failed at t=1.58: math domain error\n"
+    rows = list(csv.DictReader(out_csv.open()))
+    assert len(rows) == 158 and float(rows[-1]["t"]) < 1.58
+
+
 def test_simulate_usage_errors(capsys):
     code, _, _ = run(["simulate", "qi", "--init", "1,2", "--t1", "1"], capsys)
     assert code == 2

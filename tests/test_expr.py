@@ -259,7 +259,7 @@ def test_expand_returns_its_own_results_without_work(monkeypatch):
             rows = verify._structure_rows(d, -1)
             derived += [f.expr for f in d.H]
             derived += [e for V in (*d.G, *d.J, d.F) for e in V.exprs()]
-            derived += [r for _, residuals, _ in rows for r in residuals]
+            derived += [r for _, residuals in rows for r in residuals]
         results += [expand(e) for e in derived]
 
     def no_work(e):

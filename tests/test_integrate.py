@@ -544,13 +544,22 @@ def test_members_with_non_finite_monitors_leave_the_batch():
     assert out[-1] == integrate(HARMONIC, cfgs[-1], monitors=huge)
     assert math.isinf(out[-1].monitors["huge"][0])
     assert all(math.isfinite(v) for traj in out[:-1] for v in traj.monitors["huge"])
-    # a monitor the scalar path cannot evaluate raises there, and so here
-    log = {"log": ScalarField(parse("ln(u)"), UVW)}
-    cfgs = [IntegratorConfig(t0=0.0, t1=2.0, y0=(1.0 + k / 64, 0.0, 0.0)) for k in range(BATCH)]
-    with pytest.raises(ValueError):
-        integrate(HARMONIC, cfgs[0], monitors=log)
-    with pytest.raises(ValueError):
-        ensemble(HARMONIC, cfgs, monitors=log)
+
+
+def test_a_failing_monitor_aborts_only_its_own_ensemble_member():
+    # ln(2 + u) fails only for the member whose amplitude exceeds 2
+    log = {"log": ScalarField(parse("ln(2 + u)"), UVW)}
+    cfgs = [IntegratorConfig(t0=0.0, t1=3.0, y0=(1.0 + k / 64, 0.0, 0.0)) for k in range(BATCH - 1)]
+    cfgs.insert(BATCH // 2, IntegratorConfig(t0=0.0, t1=3.0, y0=(3.0, 0.0, 0.0)))
+    out = ensemble(HARMONIC, cfgs, monitors=log)
+    bad = out[BATCH // 2]
+    assert bad == integrate(HARMONIC, cfgs[BATCH // 2], monitors=log)
+    assert bad.aborted == "monitor log failed at t=2.31: math domain error"
+    # cut back to the samples before t = 2.31, where 3*cos(t) = -2.0006
+    full = integrate(HARMONIC, cfgs[BATCH // 2])
+    assert bad.times == full.times[:231] and bad.states == full.states[:231]
+    assert bad.monitors["log"] == [math.log(2 + u) for u, _, _ in bad.states]
+    assert all(traj.ok() and len(traj.times) == 301 for k, traj in enumerate(out) if k != BATCH // 2)
 
 
 def test_identical_members_of_a_batch_are_equal(monkeypatch):

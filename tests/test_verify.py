@@ -23,7 +23,7 @@ from biham3.poisson import (
     multiplier_residual,
     nambu_bracket,
 )
-from biham3.vecfield import ScalarField, VectorField3, gradient
+from biham3.vecfield import ScalarField, VectorField3, cross, gradient, scale
 from biham3.verify import (
     SampleConfig,
     compare_printed,
@@ -324,18 +324,41 @@ def test_lu_original_multiplier_is_sampled_at_the_divergence(params):
     assert [s for s, _ in c.worst_point] == ["t", "x", "y", "z"]
 
 
-def test_quotient_multiplier_system_takes_the_sampled_route():
+def _weighted_quotient_system():
+    # M = 1+u^2 with a large u^6 term in H1 and an exp(4t) weight in H2:
+    # the terms of the compatibility residual reach 2.7e4 at points where
+    # the products of J1.curl(J2) and J2.curl(J1) stay below 1, so only a
+    # scale taken from the residual's own terms keeps its roundoff under 1e-12
+    h1, h2, m = "u*v*w + 1000*u^6", "sin(u) + w^3*exp(4*t)", "1+u^2"
+    G1, G2 = (gradient(ScalarField(parse(h), ("u", "v", "w"), "t")) for h in (h1, h2))
+    X = scale(cross(G1, G2), ex.quot(ex.MINUS_ONE, parse(m)))
+    return (
+        "name = weighted-quotient\nframe = u v w\ntime = t\n"
+        f"field = {' ; '.join(ex.to_text(e) for e in X.exprs())}\n"
+        f"multiplier = {m}\nh1 = {h1}\nh2 = {h2}\norientation = auto\n"
+    )
+
+
+QUOTIENT_LU = (
+    "name = quotient-lu\nframe = u v w\ntime = t\n"
+    "field = v/(1+u^2) ; -u*w/(1+u^2) ; u*v/(1+u^2)\n"
+    "multiplier = 1+u^2\n"
+    "h1 = 1/2*(v^2+w^2)\nh2 = 1/2*u^2 - w\norientation = auto\n"
+)
+
+
+@pytest.mark.parametrize(
+    "doc,cfg",
+    [(QUOTIENT_LU, SampleConfig(n=150)), (_weighted_quotient_system(), SampleConfig())],
+    ids=["quotient-lu", "weighted-quotient"],
+)
+def test_quotient_multiplier_system_takes_the_sampled_route(doc, cfg):
     # X = -(1/M) grad(H1) x grad(H2) with M = 1+u^2: every identity holds,
     # but the quotients do not cancel in the normal form
-    doc = (
-        "name = quotient-lu\nframe = u v w\ntime = t\n"
-        "field = v/(1+u^2) ; -u*w/(1+u^2) ; u*v/(1+u^2)\n"
-        "multiplier = 1+u^2\n"
-        "h1 = 1/2*(v^2+w^2)\nh2 = 1/2*u^2 - w\norientation = auto\n"
-    )
-    rep = verify_structure(cat.instantiate(cat.load_system(doc)), SampleConfig(n=150))
+    rep = verify_structure(cat.instantiate(cat.load_system(doc)), cfg)
     assert rep.passed() and rep.orientation == -1
+    assert all(c.max_rel <= 1e-12 for c in rep.checks), rep.to_json()
     sampled = [c for c in rep.checks if c.method == "sampled"]
-    assert sampled and all(c.n == 150 and len(c.worst_point) == 4 for c in sampled)
+    assert sampled and all(c.n == cfg.n and len(c.worst_point) == 4 for c in sampled)
     assert rep.checks[0].name == "jacobi" and rep.checks[0].method == "sampled"
     assert any("(sampled)" in n for n in rep.notes)
