@@ -42,7 +42,6 @@ from .poisson import (
     PoissonVector,
     casimir_residual,
     compatibility_residual,
-    fundamental_identity_residual,
     hamiltonian_field,
     jacobi_residual,
     multiplier_residual,

@@ -43,12 +43,16 @@ File format for user-defined systems (all expressions in the grammar of
     h2 = 1/2*u^2 - alpha*w
     orientation = auto
 
+Each line under ``params`` is ``NAME`` (a free parameter) or
+``NAME = EXPR`` (one pinned by a constraint); a name is an identifier
+that is neither a variable nor a function name, declared once.
 ``multiplier`` defaults to 1, ``orientation`` to auto (determined by the
 verifier).  Lines starting with ``#`` are comments.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -56,6 +60,7 @@ from . import expr as ex
 from .expr import parse
 from .vecfield import FrameError, ScalarField, VectorField3, gradient, scale
 from .poisson import PoissonVector, NambuStructure
+from .sampling import verification_box
 
 
 class ConstraintError(ex.ExprError):
@@ -125,9 +130,8 @@ class SystemDef:
             return None
         return ScalarField(self.bound_expr(sf.expr), sf.frame, sf.time)
 
-    def bound_field(self, vf=None):
-        vf = vf if vf is not None else self.field
-        return VectorField3(tuple(self.bound_scalar(c) for c in vf.components))
+    def bound_field(self):
+        return VectorField3(tuple(self.bound_scalar(c) for c in self.field.components))
 
     def poisson_vectors(self, gradients=None):
         """J1 = (1/M) grad(H1), J2 = -(1/M) grad(H2), parameters bound.
@@ -139,21 +143,15 @@ class SystemDef:
             raise ConstraintError(f"system {self.name!r} has no Hamiltonian pair")
         m = self.bound_scalar(self.multiplier).expr
         j1, g2 = gradients or (gradient(self.bound_scalar(h)) for h in (self.h1, self.h2))
-        j2 = scale(g2, ex.con(-1))
+        js = (j1, scale(g2, ex.con(-1)))
         if m != ex.ONE:
-            j1 = VectorField3(
-                tuple(
-                    ScalarField(ex.quot(c.expr, m), c.frame, c.time)
-                    for c in j1.components
+            js = tuple(
+                VectorField3(
+                    tuple(ScalarField(ex.quot(c.expr, m), c.frame, c.time) for c in j.components)
                 )
+                for j in js
             )
-            j2 = VectorField3(
-                tuple(
-                    ScalarField(ex.quot(c.expr, m), c.frame, c.time)
-                    for c in j2.components
-                )
-            )
-        return PoissonVector(j1, "J1"), PoissonVector(j2, "J2")
+        return PoissonVector(js[0], "J1"), PoissonVector(js[1], "J2")
 
     def nambu_structure(self):
         return NambuStructure(self.bound_scalar(self.multiplier))
@@ -662,16 +660,19 @@ def instantiate(name_or_def, params=None, **kw):
 # chain-rule oracle for the changes of variables
 
 
-def transform_check(defn, n=200, tol=1e-12, seed=42, field=None):
+def transform_check(defn, field=None):
     """Push the source equations through the change of variables and
     compare with the stored field, componentwise.
 
     Independent of the catalog algebra: the derived field is rebuilt
     from the chain rule du_i/dt = sum_j (d fwd_i / d x_j) xdot_j
     + d fwd_i / dt, the inverse maps, and (when a time rescale is
-    present) division by d(tbar)/dt.  Returns a dict with per-component
-    maximum deviations and a pass flag.
+    present) division by d(tbar)/dt.  Each component is compared at 200
+    seeded points (seed 42 plus the component index) to a relative
+    tolerance of 1e-12.  Returns a dict with per-component maximum
+    deviations and a pass flag.
     """
+    n, tol = 200, 1e-12
     if defn.transform is None:
         raise ConstraintError(f"system {defn.name!r} has no transform metadata")
     if not defn.is_instantiated():
@@ -691,13 +692,12 @@ def transform_check(defn, n=200, tol=1e-12, seed=42, field=None):
         derived.append(ex.substitute(total, binding))
 
     target = field if field is not None else defn.field
-    domain = {v: (-2.0, 2.0) for v in defn.frame}
-    domain["t"] = (0.0, 2.0)
+    domain = verification_box((*defn.frame, "t"), "t")
     comps = []
     worst = 0.0
     for i, (d, c) in enumerate(zip(derived, target.components)):
         got = ex.equal_numeric(
-            d, defn.bound_expr(c.expr), domain, n=n, tol=tol, seed=seed + i
+            d, defn.bound_expr(c.expr), domain, n=n, tol=tol, seed=42 + i
         )
         comps.append(
             {
@@ -722,6 +722,7 @@ def transform_check(defn, n=200, tol=1e-12, seed=42, field=None):
 # user-defined system files
 
 _RESERVED = ("name", "frame", "time", "field", "multiplier", "h1", "h2", "orientation")
+_PARAM_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def load_system(document):
@@ -744,15 +745,15 @@ def load_system(document):
             in_params = True
             continue
         if in_params:
-            if "=" in line:
-                pname, ctext = (s.strip() for s in line.split("=", 1))
-                params.append(ParamSpec(pname, parse(ctext)))
-            else:
-                parts = line.split(None, 1)
-                if len(parts) == 2:
-                    params.append(ParamSpec(parts[0], parse(parts[1])))
-                else:
-                    params.append(ParamSpec(parts[0]))
+            pname, eq, ctext = (s.strip() for s in line.partition("="))
+            if not _PARAM_NAME.fullmatch(pname) or pname in ex.VARIABLES + ex.FUNCTIONS:
+                raise SystemFormatError(
+                    f"line {lineno}: {pname!r} is not a parameter name (an identifier "
+                    "that is neither a variable nor a function name)"
+                )
+            if any(p.name == pname for p in params):
+                raise SystemFormatError(f"line {lineno}: parameter {pname!r} is declared twice")
+            params.append(ParamSpec(pname, parse(ctext) if eq else None))
             continue
         raise SystemFormatError(f"line {lineno}: unrecognized line {line!r}")
 

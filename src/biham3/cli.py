@@ -26,6 +26,7 @@ from .discover import (
     build_basis,
     first_integral_search,
     multiplier_search,
+    sample_count,
     spatial_invariant_search,
 )
 from .integrate import IntegratorConfig, IntegrationError, integrate
@@ -167,14 +168,18 @@ def _cmd_discover(args):
         else:
             rate = ex.ONE
         rate = defn.bound_expr(rate)
-    basis = build_basis(args.degree, defn.frame, weights=weights, rate=rate, time=defn.time)
+    try:
+        basis = build_basis(args.degree, defn.frame, weights=weights, rate=rate, time=defn.time)
+        n = sample_count(len(basis), args.samples)
+    except DiscoveryError as err:
+        raise _Usage(str(err))
     X = defn.bound_field()
     search = {
         "total": first_integral_search,
         "spatial": spatial_invariant_search,
         "multiplier": multiplier_search,
     }[args.functional]
-    result = search(X, basis, n=args.samples, seed=args.seed)
+    result = search(X, basis, n=n, seed=args.seed)
     known = [defn.bound_scalar(h) for h in (defn.h1, defn.h2) if h is not None]
     if known:
         result = annotate(result, known)
@@ -205,8 +210,14 @@ def _cmd_bracket(args):
         for item in args.at.split(","):
             if "=" not in item:
                 raise _Usage(f"--at expects name=value pairs, got {item!r}")
-            k, v = item.split("=", 1)
-            point[k.strip()] = float(v)
+            k, v = (s.strip() for s in item.split("=", 1))
+            try:
+                point[k] = float(v)
+            except ValueError:
+                raise _Usage(f"--at expects numeric values, got {item!r}")
+        unbound = bracket.expr.free_symbols() - set(point)
+        if unbound:
+            raise _Usage(f"--at gives no value for {', '.join(sorted(unbound))}")
         try:
             print(f"= {ex.evaluate(bracket.expr, point):.17g}")
         except ex.ExprError as err:

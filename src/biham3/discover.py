@@ -21,6 +21,7 @@ catalog integrals instead of arbitrary rotations of them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -34,10 +35,28 @@ SV_THRESHOLD = 1e-10  # nullspace cut, relative to the largest singular value
 SV_AMBIGUITY = 100.0  # kept/cut singular values closer than this factor -> error
 VALIDATION_TOL = 1e-8
 COEFF_SNAP = 1e-9
+MAX_ENTRIES = 10**7  # entries of one search's sample matrix, points x basis size
 
 
 class DiscoveryError(Exception):
     pass
+
+
+def sample_count(size, n=None):
+    """The number of points a search over ``size`` basis elements samples:
+    ``n``, or ``max(3*size, 200)`` when n is None.  Raises DiscoveryError
+    when that is fewer than ``3*size`` or when the sample matrix would
+    have more than MAX_ENTRIES entries."""
+    if n is None:
+        n = max(3 * size, 200)
+    if n < 3 * size:
+        raise DiscoveryError(f"need at least 3*|basis| = {3 * size} sample points, got {n}")
+    if n * size > MAX_ENTRIES:
+        raise DiscoveryError(
+            f"a search over {size} basis elements at {n} points needs {n * size} "
+            f"sample-matrix entries, more than the limit of {MAX_ENTRIES}"
+        )
+    return n
 
 
 @dataclass(frozen=True)
@@ -66,9 +85,18 @@ class AnsatzBasis:
 def build_basis(degree, frame, weights=None, rate=None, time="t"):
     """All monomials of total degree <= degree over the frame, each
     optionally times exp(k*rate*t) for k in ``weights`` (k=0 means no
-    weight); duplicates removed."""
+    weight); duplicates removed.  A basis that no search could sample
+    within MAX_ENTRIES is refused before it is built."""
     if degree < 0:
         raise DiscoveryError("degree must be >= 0")
+    kset = (0,) if weights is None else tuple(weights)
+    if not kset:
+        raise DiscoveryError("weights must list at least one k")
+    if weights is not None:
+        if rate is None:
+            raise DiscoveryError("weights need a rate expression")
+        rate = ex.parse(rate) if isinstance(rate, str) else rate
+    sample_count(math.comb(degree + 3, 3) * len(kset))
     frame = tuple(frame)
     monomials = []
     for a in range(degree + 1):
@@ -81,13 +109,6 @@ def build_basis(degree, frame, weights=None, rate=None, time="t"):
                         ex.pow_(ex.var(frame[2]), c),
                     )
                 )
-    if weights is None:
-        kset = (0,)
-    else:
-        kset = tuple(weights)
-        if rate is None:
-            raise DiscoveryError("weights need a rate expression")
-        rate = ex.parse(rate) if isinstance(rate, str) else rate
     seen = set()
     elements = []
     for k in kset:
@@ -153,10 +174,11 @@ def _default_domain(frame, time):
     return box
 
 
-def _first_integral_rows(X, basis):
+def _derivative_rows(X, basis, total):
+    """grad(b).X for each basis element b, plus db/dt when ``total``."""
     rows = []
     for b in basis.elements:
-        expr = ex.differentiate(b.expr, basis.time)
+        expr = ex.differentiate(b.expr, basis.time) if total else ex.ZERO
         for c, v in zip(X.exprs(), X.frame):
             expr = ex.add(expr, ex.mul(ex.differentiate(b.expr, v), c))
         rows.append(ex.expand(expr))
@@ -220,13 +242,10 @@ def _coeff_expr(coeffs, basis):
     return ex.add(*terms) if terms else ex.ZERO
 
 
-def _search(kind, X, basis, rows, n, seed, domain):
+def _search(kind, basis, rows, n, seed):
     m = len(basis)
-    if n is None:
-        n = max(3 * m, 200)
-    if n < 3 * m:
-        raise DiscoveryError(f"need at least 3*|basis| = {3 * m} sample points, got {n}")
-    box = domain or _default_domain(basis.frame, basis.time)
+    n = sample_count(m, n)
+    box = _default_domain(basis.frame, basis.time)
     names, pts = sample_box(SeededSampler(seed), box, n)
     functional = ex.compile_array(rows, names)
 
@@ -279,18 +298,18 @@ def _search(kind, X, basis, rows, n, seed, domain):
     )
 
 
-def first_integral_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42, domain=None):
+def first_integral_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
     """Nullspace of the sampled functional dF/dt along X over the basis.
 
     The constants are always a solution, so the dimension is at least 1.
     """
     if len(basis) < 2:
         raise DiscoveryError("basis must have at least two elements")
-    rows = _first_integral_rows(X, basis)
-    return _search("first-integral", X, basis, rows, n, seed, domain)
+    rows = _derivative_rows(X, basis, total=True)
+    return _search("first-integral", basis, rows, n, seed)
 
 
-def spatial_invariant_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42, domain=None):
+def spatial_invariant_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
     """Nullspace of the spatial functional grad(F).X (no explicit
     time-derivative term).
 
@@ -303,21 +322,11 @@ def spatial_invariant_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=4
     """
     if len(basis) < 2:
         raise DiscoveryError("basis must have at least two elements")
-    rows = [
-        ex.expand(
-            ex.add(
-                *(
-                    ex.mul(ex.differentiate(b.expr, v), c)
-                    for c, v in zip(X.exprs(), X.frame)
-                )
-            )
-        )
-        for b in basis.elements
-    ]
-    return _search("spatial-invariant", X, basis, rows, n, seed, domain)
+    rows = _derivative_rows(X, basis, total=False)
+    return _search("spatial-invariant", basis, rows, n, seed)
 
 
-def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42, domain=None):
+def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
     """Nullspace of the sampled functional div(M X) over the basis.
 
     Candidates that come close to vanishing on the domain are flagged,
@@ -326,8 +335,8 @@ def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42, doma
     if len(basis) < 1:
         raise DiscoveryError("basis must not be empty")
     rows = _multiplier_rows(X, basis)
-    result = _search("multiplier", X, basis, rows, n, seed, domain)
-    box = domain or _default_domain(basis.frame, basis.time)
+    result = _search("multiplier", basis, rows, n, seed)
+    box = _default_domain(basis.frame, basis.time)
     names, pts = sample_box(SeededSampler(result.seed + 2), box, 500)
     B = ex.compile_array([b.expr for b in basis.elements], names)(pts)
     flagged = []
@@ -342,18 +351,17 @@ def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42, doma
     return replace(result, candidates=tuple(flagged))
 
 
-def annotate(result: DiscoveryResult, known, n=400, seed=None):
+def annotate(result: DiscoveryResult, known):
     """Match known integrals against the discovered span.
 
     Each known ScalarField is expanded in the basis by least squares at
-    seeded points; the annotation records the projection cosine onto the
-    nullspace span ("matched" when above 1 - 1e-8) and the best single
-    candidate alignment.
+    400 points drawn with the result's seed plus 3; the annotation
+    records the projection cosine onto the nullspace span ("matched"
+    when above 1 - 1e-8) and the best single candidate alignment.
     """
-    seed = result.seed + 3 if seed is None else seed
     basis = result.basis
     box = _default_domain(basis.frame, basis.time)
-    names, pts = sample_box(SeededSampler(seed), box, n)
+    names, pts = sample_box(SeededSampler(result.seed + 3), box, 400)
     B = ex.compile_array([b.expr for b in basis.elements], names)(pts)
     targets = ex.compile_array([sf.expr for sf in known], names)(pts)
 

@@ -171,12 +171,6 @@ class Expr:
     def __repr__(self):
         return to_text(self)
 
-    def diff(self, name):
-        return differentiate(self, name)
-
-    def subs(self, mapping):
-        return substitute(self, mapping)
-
 
 class Const(Expr):
     __slots__ = ("value",)
@@ -647,17 +641,15 @@ def differentiate(e, name):
     raise ExprError(f"cannot differentiate node {type(e).__name__}")
 
 
-def substitute(e, mapping, replacement=None):
-    """Replace symbols by expressions, then expand-normalize.
+def substitute(e, mapping):
+    """Replace symbols by expressions, ``substitute(e, {"x": expr, ...})``,
+    then expand-normalize.
 
-    Accepts either ``substitute(e, {"x": expr, ...})`` or the two-argument
-    form ``substitute(e, "x", expr)``.  The result is expanded so that
-    changes of variables collapse their exponential weights, e.g.
-    ``exp(2*alpha*t)*(x^2 - 2*alpha*z)`` under ``x -> u*exp(-alpha*t)``,
-    ``z -> w*exp(-2*alpha*t)`` comes back as ``u^2 - 2*alpha*w``.
+    The result is expanded so that changes of variables collapse their
+    exponential weights, e.g. ``exp(2*alpha*t)*(x^2 - 2*alpha*z)`` under
+    ``x -> u*exp(-alpha*t)``, ``z -> w*exp(-2*alpha*t)`` comes back as
+    ``u^2 - 2*alpha*w``.
     """
-    if replacement is not None:
-        mapping = {mapping: replacement}
     mapping = {k: _coerce(v) for k, v in mapping.items()}
     if not (e.free_symbols() & set(mapping)):
         return e

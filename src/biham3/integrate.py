@@ -93,6 +93,7 @@ _FAC_MAX = 5.0
 _RHS_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 MAX_POINTS = 10**6  # sample rows of an adaptive run, steps of an rk4 run
+MIN_STEP = 1e-13  # an adaptive step below this aborts the run
 
 
 class IntegrationError(Exception):
@@ -109,7 +110,6 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-10
     max_step: float = 0.1
-    min_step: float = 1e-13
     sample_dt: float = 0.01
 
     def __post_init__(self):
@@ -129,7 +129,7 @@ class IntegratorConfig:
         if self.method == "rk4":
             sizes = ("step",)
         else:
-            sizes = ("rtol", "atol", "max_step", "min_step", "sample_dt")
+            sizes = ("rtol", "atol", "max_step", "sample_dt")
         for name in sizes:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -256,7 +256,7 @@ def _run(frame, rhs, mons, quad_names, kernel, cfg):
     else:
         h = min(cfg.max_step, (cfg.t1 - cfg.t0) / 100.0)
         traj.accepted, traj.rejected, traj.aborted = kernel(
-            rhs, y, cfg.t0, cfg.t1, h, cfg.max_step, cfg.min_step, cfg.rtol, cfg.atol,
+            rhs, y, cfg.t0, cfg.t1, h, cfg.max_step, cfg.rtol, cfg.atol,
             _sample_times(cfg), traj.times, traj.states, quads,
         )
     for name, f in mons:
@@ -374,7 +374,7 @@ def _dopri_source(dim):
     idx = range(dim)
     ys = [f"y_{i}" for i in idx]
     k = [[f"k{s}_{i}" for i in idx] for s in range(7)]
-    out = ["def dopri(f, y, t, t1, h, max_step, min_step, rtol, atol, samples, times, states, quads):"]
+    out = ["def dopri(f, y, t, t1, h, max_step, rtol, atol, samples, times, states, quads):"]
 
     def put(depth, *lines):
         out.extend("    " * depth + line for line in lines)
@@ -412,7 +412,7 @@ def _dopri_source(dim):
         "    d = t1 - t",
         "    if d < h:",
         "        h = d",
-        "    if h < min_step:",
+        f"    if h < {MIN_STEP!r}:",
         '        return accepted, rejected, f"step size underflow at t={t:.6g} (h={h:.3e})"',
     )
     for s in range(1, 7):
@@ -590,8 +590,8 @@ def _lockstep(f, cfgs, grid, dim):
     P = [np.array(c)[:, None] for c in zip(*_P)]  # coefficient of th^(i+1), per stage
 
     pos = np.arange(m)  # block row of each live member
-    rtol, atol, max_step, min_step = np.array(
-        [(cfg.rtol, cfg.atol, cfg.max_step, cfg.min_step) for cfg in cfgs], dtype=float
+    rtol, atol, max_step = np.array(
+        [(cfg.rtol, cfg.atol, cfg.max_step) for cfg in cfgs], dtype=float
     ).T
     h = np.minimum(max_step, (t1 - t0) / 100.0)
     t = np.full(m, t0, dtype=float)
@@ -606,15 +606,15 @@ def _lockstep(f, cfgs, grid, dim):
         rerun[pos[bad]] = True
         live = ~bad & (t < t_end)
         if not live.all():
-            pos, t, h, facold, rtol, atol, max_step, min_step = (
-                v[live] for v in (pos, t, h, facold, rtol, atol, max_step, min_step)
+            pos, t, h, facold, rtol, atol, max_step = (
+                v[live] for v in (pos, t, h, facold, rtol, atol, max_step)
             )
             y, k0 = y[:, live], k0[:, live]
         if not pos.size:
             return block, done, accepted, rejected, rerun
         d = t1 - t
         h = np.where(d < h, d, h)
-        bad = h < min_step
+        bad = h < MIN_STEP
         K = np.empty((7,) + y.shape)
         K[0] = k0
         for s in range(1, 7):

@@ -144,8 +144,7 @@ def fundamental_identity_parts(F1, F2, H1, H2, H3, structure):
     {F1,F2,{H1,H2,H3}} and the three right-side brackets with
     {F1,F2,H_k} substituted for H_k.
 
-    Building these is the expensive step; callers evaluating at many
-    points should build once and compile the four expressions.
+    The identity holds when ``lhs - (r1 + r2 + r3)`` vanishes.
     """
     nb = lambda a, b, c: nambu_bracket(a, b, c, structure)
     lhs = nb(F1, F2, nb(H1, H2, H3))
@@ -153,21 +152,6 @@ def fundamental_identity_parts(F1, F2, H1, H2, H3, structure):
     r2 = nb(H1, nb(F1, F2, H2), H3)
     r3 = nb(H1, H2, nb(F1, F2, H3))
     return lhs, (r1, r2, r3)
-
-
-def fundamental_identity_residual(F1, F2, H1, H2, H3, structure, point):
-    """Takhtajan identity defect at a point.
-
-    All nested brackets are built symbolically; only the final
-    evaluation is numeric.  Returns (residual, scale) where scale is
-    the largest participating bracket magnitude, for relative
-    normalization.
-    """
-    lhs, rhs = fundamental_identity_parts(F1, F2, H1, H2, H3, structure)
-    vals = [ex.evaluate(s.expr, point) for s in (lhs, *rhs)]
-    residual = vals[0] - (vals[1] + vals[2] + vals[3])
-    scale_ = max(abs(v) for v in vals)
-    return residual, scale_
 
 
 def multiplier_residual(M: ScalarField, X: VectorField3) -> ScalarField:

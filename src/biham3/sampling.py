@@ -73,8 +73,14 @@ def sample_box(sampler, box, n, keep=None):
     return names, P
 
 
-def random_polynomial(sampler, symbols, degree, max_coeff=4):
-    """Random polynomial with small integer coefficients.
+def verification_box(symbols, time):
+    """The default verification box: ``[-2, 2]`` for each symbol,
+    ``[0, 2]`` for the time variable."""
+    return {s: (0.0, 2.0) if s == time else (-2.0, 2.0) for s in symbols}
+
+
+def random_polynomial(sampler, symbols, degree):
+    """Random polynomial with integer coefficients in -4..4.
 
     Dense monomial basis of total degree <= degree over the given
     symbols; roughly half the coefficients are zero.
@@ -90,12 +96,12 @@ def random_polynomial(sampler, symbols, degree, max_coeff=4):
         if key in seen:
             continue
         seen.add(key)
-        c = sampler.integer(2 * max_coeff + 1) - max_coeff
+        c = sampler.integer(9) - 4
         if c == 0:
             continue
         terms.append(ex.mul(ex.con(c), *[ex.sym(s) for s in key]))
     if not terms:
-        return ex.con(sampler.integer(max_coeff) + 1)
+        return ex.con(sampler.integer(4) + 1)
     return ex.add(*terms)
 
 

@@ -51,12 +51,6 @@ class ScalarField:
                 f"variables {sorted(stray)} outside frame {self.frame}"
             )
 
-    def diff(self, name):
-        return ScalarField(ex.differentiate(self.expr, name), self.frame, self.time)
-
-    def subs(self, mapping):
-        return ScalarField(ex.substitute(self.expr, mapping), self.frame, self.time)
-
     def is_time_independent(self):
         return self.time not in self.expr.free_symbols()
 
@@ -92,9 +86,6 @@ class VectorField3:
 
     def exprs(self):
         return tuple(c.expr for c in self.components)
-
-    def subs(self, mapping):
-        return VectorField3(tuple(c.subs(mapping) for c in self.components))
 
     def __getitem__(self, i):
         return self.components[i]

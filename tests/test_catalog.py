@@ -71,7 +71,7 @@ def test_instantiate_fills_dependent_parameters():
 
 @pytest.mark.parametrize("name", STRUCTURED)
 def test_transform_check_confirms_catalog_fields(name):
-    r = cat.transform_check(cat.instantiate(name), n=200)
+    r = cat.transform_check(cat.instantiate(name))
     assert r["pass"], r
     assert r["max_rel_dev"] < 1e-12
 
@@ -79,7 +79,7 @@ def test_transform_check_confirms_catalog_fields(name):
 def test_transform_check_flags_published_lu_third_component():
     d = cat.instantiate("lu-transformed")
     printed = VectorField3.from_exprs(list(d.printed["field"]), d.frame)
-    r = cat.transform_check(d, n=200, field=printed)
+    r = cat.transform_check(d, field=printed)
     assert not r["pass"]
     assert r["components"][0]["pass"] and r["components"][1]["pass"]
     assert r["components"][2]["max_rel_dev"] > 0.1
@@ -90,7 +90,7 @@ def test_transform_check_flags_published_chen_uw_coefficient():
     # derived coefficient 1 at alpha=1, so probe at alpha=2
     d = cat.instantiate("chen", alpha=2)
     printed = VectorField3.from_exprs(list(d.printed["field"]), d.frame)
-    r = cat.transform_check(d, n=200, field=printed)
+    r = cat.transform_check(d, field=printed)
     assert not r["pass"]
     assert r["components"][0]["pass"] and r["components"][2]["pass"]
     assert r["components"][1]["max_rel_dev"] > 0.01
@@ -205,3 +205,25 @@ def test_load_params_and_instantiate():
     inst = cat.instantiate(d, {"alpha": 3})
     assert inst.param_values == {"alpha": 3, "beta": 6}
     assert inst.bound_field().exprs()[0] == parse("3*v")
+
+
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        (["u"], "'u' is not a parameter name"),
+        (["t = 2"], "'t' is not a parameter name"),
+        (["exp"], "'exp' is not a parameter name"),
+        (["1x"], "'1x' is not a parameter name"),
+        (["alpha 2"], "'alpha 2' is not a parameter name"),
+        (["alpha", "alpha = 2"], "parameter 'alpha' is declared twice"),
+    ],
+    ids=["variable", "time-variable", "function", "not-identifier", "name-expr-form", "twice"],
+)
+def test_load_rejects_bad_parameter_lines(lines, message):
+    doc = (
+        "name = custom\nframe = u v w\nparams\n"
+        + "".join(f"    {line}\n" for line in lines)
+        + "field = v ; -u ; 0\n"
+    )
+    with pytest.raises(cat.SystemFormatError, match=message):
+        cat.load_system(doc)

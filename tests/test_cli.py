@@ -243,6 +243,31 @@ def test_bracket_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "f,h,at,message",
+    [
+        ("u", "v", "u=abc", "error: --at expects numeric values, got 'u=abc'"),
+        ("u", "v", "u", "error: --at expects name=value pairs"),
+        ("u*v", "v", "u=1", "error: --at gives no value for v"),
+        ("u*v*t", "v", "u=1,v=2", "error: --at gives no value for t"),
+    ],
+    ids=["not-a-number", "no-equals", "unbound-variable", "unbound-time"],
+)
+def test_bracket_at_input_errors_are_usage_errors(capsys, f, h, at, message):
+    code, _, err = run(["bracket", "--j", "0;0;1", "--f", f, "--h", h, "--at", at], capsys)
+    assert code == 2
+    assert err.startswith(message)
+
+
+def test_bracket_domain_error_at_a_point_is_an_evaluation_failure(capsys):
+    code, out, err = run(
+        ["bracket", "--j", "0;0;1", "--f", "u*ln(u)", "--h", "v", "--at", "u=-1,v=0"], capsys
+    )
+    assert code == 1
+    assert "ln(u)" in out
+    assert err.startswith("evaluation failed:")
+
+
+@pytest.mark.parametrize(
     "f", ["(" * 3000 + "u" + ")" * 3000, "-" * 5000 + "u"], ids=["parentheses", "unary-minus"]
 )
 def test_bracket_rejects_deep_nesting(capsys, f):
@@ -348,3 +373,30 @@ def _split_command(cmd):
     import shlex
 
     return shlex.split(cmd)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--degree", "-1"], "error: degree must be >= 0"),
+        (["--degree", "2", "--samples", "0"], "error: need at least 3*|basis| = 30"),
+        (["--degree", "2", "--weights=0..-2"], "error: weights must list at least one k"),
+        (["--degree", "30"], "error: a search over 5456 basis elements at 16368 points"),
+        (["--degree", "2", "--samples", "1000000000"], "error: a search over 10 basis elements"),
+    ],
+    ids=["negative-degree", "no-samples", "empty-weights", "degree-past-limit", "samples-past-limit"],
+)
+def test_discover_input_errors_are_usage_errors(capsys, args, message):
+    start = time.perf_counter()
+    code, out, err = run(["discover", "lu-transformed", *args], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith(message)
+
+
+def test_bad_parameter_name_in_a_system_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "shadow.system"
+    path.write_text("name = shadow\nframe = u v w\nparams\n    u\nfield = v ; -u ; 0\n")
+    code, out, err = run(["verify", str(path), "--samples", "10"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 4: 'u' is not a parameter name")

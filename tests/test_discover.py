@@ -161,6 +161,13 @@ def test_preconditions():
     X = VectorField3.from_exprs([parse("ln(u)"), parse("v"), parse("w")], UVW)
     with pytest.raises(DiscoveryError, match="not finite"):
         first_integral_search(X, build_basis(1, UVW))
+    with pytest.raises(DiscoveryError, match="at least one k"):
+        build_basis(2, UVW, weights=(), rate="1")
+    # the size bound holds before a basis is built or a point is drawn
+    with pytest.raises(DiscoveryError, match="more than the limit of 10000000"):
+        build_basis(30, UVW)
+    with pytest.raises(DiscoveryError, match="more than the limit"):
+        first_integral_search(d.bound_field(), build_basis(2, UVW), n=10**6 + 1)
 
 
 def test_result_json():

@@ -468,15 +468,15 @@ def test_compile_array_marks_domain_failures_non_finite():
 
 
 def test_substitute_examples():
-    assert substitute(parse("x^2"), "x", parse("u*exp(-alpha*t)")) == parse(
+    assert substitute(parse("x^2"), {"x": parse("u*exp(-alpha*t)")}) == parse(
         "u^2*exp(-2*alpha*t)"
     )
     e = parse("exp(2*alpha*t)*(x^2-2*alpha*z)")
-    e = substitute(e, "x", parse("u*exp(-alpha*t)"))
-    e = substitute(e, "z", parse("w*exp(-2*alpha*t)"))
+    e = substitute(e, {"x": parse("u*exp(-alpha*t)")})
+    e = substitute(e, {"z": parse("w*exp(-2*alpha*t)")})
     assert e == parse("u^2-2*alpha*w")
     u = parse("u")
-    assert substitute(u, "u", parse("u")) == u
+    assert substitute(u, {"u": parse("u")}) == u
 
 
 # --- sampling equality oracle -----------------------------------------

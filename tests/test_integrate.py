@@ -252,7 +252,7 @@ def test_config_validation():
         {"sample_dt": 0.0},
         {"sample_dt": math.nan},
         {"max_step": -1.0},
-        {"min_step": 0.0},
+        {"rtol": math.inf},
         {"atol": math.nan},
         {"t1": math.inf},
         {"t0": math.nan},

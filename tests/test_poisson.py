@@ -18,7 +18,7 @@ from biham3.poisson import (
     casimir_residual,
     compatibility_residual,
     coordinate_field,
-    fundamental_identity_residual,
+    fundamental_identity_parts,
     hamiltonian_field,
     jacobi_residual,
     multiplier_residual,
@@ -200,21 +200,17 @@ def test_nambu_generalized_leibnitz():
 def test_fundamental_identity_trivial_cases():
     S = unit_structure()
     coords = [coordinate_field(v, UVW) for v in UVW]
-    pt = {"u": 0.4, "v": -0.8, "w": 1.3, "t": 0.2}
-    r, _ = fundamental_identity_residual(
-        coords[0], coords[1], coords[2], coords[0], coords[1], S, pt
-    )
-    assert r == 0.0
     const = sf("5")
-    r, _ = fundamental_identity_residual(
-        const, coords[0], coords[1], coords[2], coords[0], S, pt
-    )
-    assert r == 0.0
+    for quintuple in (
+        (coords[0], coords[1], coords[2], coords[0], coords[1]),
+        (const, coords[0], coords[1], coords[2], coords[0]),
+    ):
+        lhs, rhs = fundamental_identity_parts(*quintuple, S)
+        residual = ex.sub(lhs.expr, ex.add(*(r.expr for r in rhs)))
+        assert ex.expand(residual) == ex.ZERO
 
 
 def test_fundamental_identity_random_quintuples():
-    from biham3.poisson import fundamental_identity_parts
-
     sampler = SeededSampler(4)
     S = unit_structure()
     names = tuple(sorted(BOX))

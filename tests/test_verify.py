@@ -104,10 +104,12 @@ def test_orientation_diagnosis_for_published_lu_field():
 def test_fundamental_identity_check():
     S = NambuStructure(ScalarField(parse("1"), ("u", "v", "w")))
     r = verify_fundamental_identity(S, SampleConfig(n=50), instances=2)
-    assert r.passed and r.max_rel < 1e-8
-    S = NambuStructure(ScalarField(parse("exp(-t)"), ("u", "v", "w")))
-    r = verify_fundamental_identity(S, SampleConfig(n=50), instances=2)
-    assert r.passed and r.max_rel < 1e-8
+    assert r.passed and r.method == "exact" and r.n == 0
+    for m in ("exp(-t)", "1+u^2"):
+        S = NambuStructure(ScalarField(parse(m), ("u", "v", "w")))
+        r = verify_fundamental_identity(S, SampleConfig(n=50), instances=2)
+        assert r.passed and r.method == "sampled" and r.n == 50 and r.max_rel < 1e-8
+        assert [name for name, _ in r.worst_point] == ["t", "u", "v", "w"]
 
 
 def test_compare_printed_findings():
@@ -362,3 +364,27 @@ def test_quotient_multiplier_system_takes_the_sampled_route(doc, cfg):
     assert sampled and all(c.n == cfg.n and len(c.worst_point) == 4 for c in sampled)
     assert rep.checks[0].name == "jacobi" and rep.checks[0].method == "sampled"
     assert any("(sampled)" in n for n in rep.notes)
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_are_strict_json():
+    # no orientation sign fits a flipped control: its orientation check has no finite statistics
+    control = flipped_sign_variant(cat.instantiate("lu-transformed"), 0)
+    report = _strict_json(verify_structure(control, SampleConfig(n=50)).to_json())
+    check = report["checks"][-1]
+    assert check["name"] == "orientation" and check["pass"] is False
+    assert check["max_abs"] is check["max_rel"] is check["rms"] is None
+    # a field undefined at some sample points
+    defn = cat.load_system(
+        "name = undefined\nframe = u v w\nfield = v ; -u ; ln(u)\nh1 = u^2+v^2\nh2 = w\n"
+    )
+    report = _strict_json(verify_structure(defn, SampleConfig(n=50)).to_json())
+    unfinite = {c["name"] for c in report["checks"] if c["max_rel"] is None}
+    assert {"biham", "nambu", "orthogonality"} <= unfinite
+    assert report["pass"] is False
