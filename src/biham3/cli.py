@@ -170,6 +170,8 @@ def _cmd_discover(args):
         rate = defn.bound_expr(rate)
     try:
         basis = build_basis(args.degree, defn.frame, weights=weights, rate=rate, time=defn.time)
+        if args.functional != "multiplier" and len(basis) < 2:
+            raise _Usage("basis must have at least two elements")
         n = sample_count(len(basis), args.samples)
     except DiscoveryError as err:
         raise _Usage(str(err))

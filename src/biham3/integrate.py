@@ -33,6 +33,14 @@ Members that abort are run again alone by the scalar kernel; everything
 else (smaller groups, rk4 members, :func:`integrate`) only ever runs the
 scalar kernel.
 
+A :class:`Trajectory` holds its samples as numpy float64 arrays.  The
+scalar kernel appends to lists, which each run converts once at its end;
+each batched member copies its rows out of its group's sample block, so
+no member keeps that block alive.  The lockstep kernel keeps the step
+arrays of its passes and evaluates their dense output every
+``_DENSE_PASSES`` passes, for all the kept steps at once, with the
+scalar kernel's weights and sums in their order.
+
 Everything here is deterministic: no randomness, fixed evaluation
 order.  Identical configurations produce bit-identical trajectories,
 within one batch as well as on the scalar kernel.
@@ -44,7 +52,6 @@ within one batch as well as on the scalar kernel.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -94,6 +101,7 @@ _RHS_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 MAX_POINTS = 10**6  # sample rows of an adaptive run, steps of an rk4 run
 MIN_STEP = 1e-13  # an adaptive step below this aborts the run
+_CSV_BLOCK = 1024  # rows per block of Trajectory.to_csv
 
 
 class IntegrationError(Exception):
@@ -139,29 +147,54 @@ class IntegratorConfig:
             raise IntegrationError(f"(t1 - t0)/{size} must be at most {MAX_POINTS}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
+    """Samples of one run, as float64 arrays: ``times`` has shape
+    ``(rows,)``, ``states`` ``(rows, 3)``, and each ``monitors`` and
+    ``quadratures`` entry ``(rows,)``.  Two trajectories are equal when
+    every array is exactly equal (nan equal to nan) and so are the other
+    fields."""
+
     frame: tuple
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    times: np.ndarray
+    states: np.ndarray
     monitors: dict = field(default_factory=dict)
     quadratures: dict = field(default_factory=dict)
     accepted: int = 0
     rejected: int = 0
     aborted: str = None
 
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (
+            (self.frame, self.accepted, self.rejected, self.aborted)
+            == (other.frame, other.accepted, other.rejected, other.aborted)
+            and list(self.monitors) == list(other.monitors)
+            and list(self.quadratures) == list(other.quadratures)
+            and all(
+                np.array_equal(a, b, equal_nan=True)
+                for a, b in zip(
+                    (self.times, self.states, *self.monitors.values(), *self.quadratures.values()),
+                    (other.times, other.states, *other.monitors.values(), *other.quadratures.values()),
+                )
+            )
+        )
+
     def ok(self):
         return self.aborted is None
 
     def to_csv(self):
         """Full-precision CSV: header t,<v1>,<v2>,<v3>[,monitor...]."""
-        out = io.StringIO()
         names = list(self.monitors)
-        out.write(",".join(["t", *self.frame, *names]) + "\n")
-        for i, (t, y) in enumerate(zip(self.times, self.states)):
-            row = [t, *y] + [self.monitors[m][i] for m in names]
-            out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return out.getvalue()
+        row = ",".join(["%.17g"] * (4 + len(names))) + "\n"
+        table = np.column_stack([self.times, self.states, *self.monitors.values()])
+        # rows are formatted a block at a time, so only one block of them
+        # is ever held as Python floats
+        out = [",".join(["t", *self.frame, *names]) + "\n"]
+        for k in range(0, len(table), _CSV_BLOCK):
+            out.append("".join([row % tuple(values) for values in table[k : k + _CSV_BLOCK].tolist()]))
+        return "".join(out)
 
 
 def _compile_rhs(X: VectorField3, quadratures):
@@ -197,15 +230,15 @@ def ensemble(X, configs, monitors=None, quadratures=None):
 
     Adaptive members that share ``(t0, t1, sample_dt)``, and so one sample
     grid, are stepped together by a lockstep numpy kernel once at least
-    ``_BATCH_MIN`` of them do.  A batched member agrees with what
-    :func:`integrate` gives for its configuration alone to roundoff, not
-    to the bit, because numpy's ``exp``, ``power`` and squares differ
-    from libm's in the last bit: the tests see equal accepted and
-    rejected counts, equal ``times``, and states, quadratures and
-    monitors within 1e-9 relative.  A member that underflows its step
-    size or meets a non-finite value is taken out of the batch and run
-    alone, so its partial trajectory and reason are exactly
-    :func:`integrate`'s.  Every other member (smaller groups, rk4) runs
+    ``_BATCH_MIN`` of them do; each returned trajectory owns its arrays.
+    A batched member agrees with what :func:`integrate` gives for its
+    configuration alone to roundoff, not to the bit, because numpy's
+    ``exp``, ``power`` and squares differ from libm's in the last bit:
+    the tests see equal accepted and rejected counts, equal ``times``,
+    and states, quadratures and monitors within 1e-9 relative.  A member
+    that underflows its step size or meets a non-finite value is taken
+    out of the batch and run alone, so its partial trajectory and reason
+    are exactly :func:`integrate`'s.  Every other member (smaller groups, rk4) runs
     the scalar kernel and equals :func:`integrate` bit for bit.  Repeated
     runs on one machine give identical bits either way.
     """
@@ -239,89 +272,90 @@ def ensemble(X, configs, monitors=None, quadratures=None):
 
 
 def _run(frame, rhs, mons, quad_names, kernel, cfg):
-    traj = Trajectory(frame=frame)
-    quads = [traj.quadratures.setdefault(name, []) for name in quad_names]
-
-    def emit(t, y):
-        traj.times.append(t)
-        traj.states.append(tuple(y[:3]))
-        for q, c in zip(quads, y[3:]):
-            q.append(c)
-
-    y = tuple(cfg.y0) + (0.0,) * len(quads)
-    dim = len(y)
-    emit(cfg.t0, y)
+    y = tuple(cfg.y0) + (0.0,) * len(quad_names)
+    times, states = [cfg.t0], [y[:3]]
+    quads = [[0.0] for _ in quad_names]
     if cfg.method == "rk4":
-        _run_rk4(rhs, cfg, y, dim, emit, traj)
+        accepted, rejected, aborted = _run_rk4(rhs, cfg, y, times, states, quads)
     else:
         h = min(cfg.max_step, (cfg.t1 - cfg.t0) / 100.0)
-        traj.accepted, traj.rejected, traj.aborted = kernel(
+        accepted, rejected, aborted = kernel(
             rhs, y, cfg.t0, cfg.t1, h, cfg.max_step, cfg.rtol, cfg.atol,
-            _sample_times(cfg), traj.times, traj.states, quads,
+            _sample_times(cfg), times, states, quads,
         )
+    monitors = {}
     for name, f in mons:
         try:
-            traj.monitors[name] = [f(u, v, w, t) for t, (u, v, w) in zip(traj.times, traj.states)]
+            monitors[name] = [f(u, v, w, t) for t, (u, v, w) in zip(times, states)]
         except _RHS_ERRORS:
-            traj.monitors[name] = _monitor_until_failure(traj, name, f)
-    return traj
+            values, aborted = _monitor_until_failure(times, states, name, f)
+            for column in (times, states, *quads, *monitors.values()):
+                del column[len(values):]
+            monitors[name] = values
+    return Trajectory(
+        frame=frame,
+        times=np.array(times, dtype=float),
+        states=np.array(states, dtype=float),
+        monitors={name: np.array(values, dtype=float) for name, values in monitors.items()},
+        quadratures={name: np.array(q, dtype=float) for name, q in zip(quad_names, quads)},
+        accepted=accepted,
+        rejected=rejected,
+        aborted=aborted,
+    )
 
 
-def _monitor_until_failure(traj, name, f):
-    """The values of a monitor that fails at some sample.  Cuts the
-    trajectory back to the samples before the first failing one and
-    records the failure as the reason the run aborted."""
+def _monitor_until_failure(times, states, name, f):
+    """The values of a monitor that fails at some sample, up to the first
+    failing one, and the failure as the reason the run aborted."""
     values = []
-    for t, (u, v, w) in zip(traj.times, traj.states):
+    for t, (u, v, w) in zip(times, states):
         try:
             values.append(f(u, v, w, t))
         except _RHS_ERRORS as err:
-            traj.aborted = f"monitor {name} failed at t={t:.6g}: {err}"
-            break
-    for column in (traj.times, traj.states, *traj.quadratures.values(), *traj.monitors.values()):
-        del column[len(values):]
-    return values
+            return values, f"monitor {name} failed at t={t:.6g}: {err}"
 
 
-def _try_rhs(rhs, t, y, traj):
+class _Abort(Exception):
+    pass
+
+
+def _derivative(rhs, t, y):
     try:
         dy = rhs(y[0], y[1], y[2], t)
     except _RHS_ERRORS as err:
-        traj.aborted = f"right-hand side failed at t={t:.6g}: {err}"
-        return None
+        raise _Abort(f"right-hand side failed at t={t:.6g}: {err}")
     if not all(math.isfinite(c) for c in dy):
-        traj.aborted = f"non-finite derivative at t={t:.6g}"
-        return None
+        raise _Abort(f"non-finite derivative at t={t:.6g}")
     return dy
 
 
-def _run_rk4(rhs, cfg, y, dim, emit, traj):
+def _run_rk4(rhs, cfg, y, times, states, quads):
+    """Append each step's sample; return ``(accepted, rejected, reason)``
+    as the adaptive kernel does."""
+    dim = len(y)
     span = cfg.t1 - cfg.t0
     n = max(1, round(span / cfg.step))
     h = span / n
     t = cfg.t0
     for k in range(n):
-        k1 = _try_rhs(rhs, t, y, traj)
-        if k1 is None:
-            return
-        k2 = _try_rhs(rhs, t + h / 2, tuple(y[i] + h / 2 * k1[i] for i in range(dim)), traj)
-        if k2 is None:
-            return
-        k3 = _try_rhs(rhs, t + h / 2, tuple(y[i] + h / 2 * k2[i] for i in range(dim)), traj)
-        if k3 is None:
-            return
-        k4 = _try_rhs(rhs, t + h, tuple(y[i] + h * k3[i] for i in range(dim)), traj)
-        if k4 is None:
-            return
+        try:
+            k1 = _derivative(rhs, t, y)
+            k2 = _derivative(rhs, t + h / 2, tuple(y[i] + h / 2 * k1[i] for i in range(dim)))
+            k3 = _derivative(rhs, t + h / 2, tuple(y[i] + h / 2 * k2[i] for i in range(dim)))
+            k4 = _derivative(rhs, t + h, tuple(y[i] + h * k3[i] for i in range(dim)))
+        except _Abort as err:
+            return k, 0, str(err)
         y = tuple(
             y[i] + h / 6 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(dim)
         )
         if not all(math.isfinite(c) for c in y):
-            traj.aborted = f"non-finite state at t={t + h:.6g}"
-            return
+            return k, 0, f"non-finite state at t={t + h:.6g}"
         t = cfg.t0 + (k + 1) * h
-        traj.accepted += 1
-        emit(t, y)
+        times.append(t)
+        states.append(y[:3])
+        for q, c in zip(quads, y[3:]):
+            q.append(c)
+    return n, 0, None
 
 
 def _sample_times(cfg):
@@ -502,8 +536,14 @@ def _dopri_kernel(dim):
 # the arrays when they reach t1; a member that underflows its step size or
 # meets a non-finite derivative or state leaves them too, marked to be run
 # alone by the scalar kernel.
+#
+# Dense output runs every _DENSE_PASSES passes and at the end: _dense
+# evaluates the samples of all accepted steps since its last call at once,
+# with the scalar kernel's weights and sums in their order.  Each pass makes
+# its step arrays afresh, so they are kept by reference, not copied.
 
 _BATCH_MIN = 24  # smallest group the lockstep kernel runs; see _batch
+_DENSE_PASSES = 32  # passes kept between dense evaluations; bounds their memory
 
 
 def _wsum(products):
@@ -515,10 +555,6 @@ def _wsum(products):
     return acc
 
 
-def _column(coeffs):
-    return np.array(coeffs)[:, None, None]
-
-
 def _stage(f, k, z, t):
     for i, column in enumerate(f(z[0], z[1], z[2], t)):
         k[i] = column
@@ -527,46 +563,44 @@ def _stage(f, k, z, t):
 def _batch(f, mon, frame, mon_names, quad_names, cfgs):
     """Trajectories of members sharing ``(t0, t1, sample_dt)``, stepped in
     lockstep; None for each member that must be run by the scalar kernel.
+    Each trajectory owns its arrays: they are copied out of the group's
+    sample block, which is freed on return.
 
     ``f`` is the right-hand side from :func:`expr.compile_columns` and
     ``mon`` the monitors from :func:`expr.compile_array`.  Below
     ``_BATCH_MIN`` members the per-step numpy overhead costs more than the
     scalar kernel's per-member loop: on qi members from t=0 to t=10, a
-    batch runs at 0.8 times the scalar speed with 16 members, 1.0 times
-    with 20, 1.1 times with 24, 1.4 times with 32 and 4.4 times with 256.
+    batch runs at 0.9 times the scalar speed with 16 members, 1.0 to 1.1
+    times with 20, 1.2 times with 24, 1.4 times with 32 and 4.5 to 5 times
+    with 256 (medians of five alternating runs, two CPU cores).
     """
     grid = _sample_times(cfgs[0])
     with np.errstate(all="ignore"):
         block, done, accepted, rejected, rerun = _lockstep(f, cfgs, grid, 3 + len(quad_names))
-    grid_t = np.array([cfgs[0].t0] + grid)
+    # every sample time is at most t1, so these are the times the scalar
+    # kernel emits
+    grid_t = np.array([cfgs[0].t0] + grid, dtype=float)
     out = []
-    for j, cfg in enumerate(cfgs):
+    for j in range(len(cfgs)):
         if rerun[j]:
             out.append(None)
             continue
         rows = block[j, : 1 + done[j]]
-        columns = rows.T.tolist()
         traj = Trajectory(
             frame=frame,
-            # every sample time is at most t1, so these are the times the
-            # scalar kernel emits, as the very float objects of one grid
-            times=[cfg.t0, *grid[: done[j]]],
-            states=list(zip(*columns[:3])),
+            times=grid_t[: len(rows)].copy(),
+            states=rows[:, :3].copy(),
+            quadratures={name: rows[:, 3 + q].copy() for q, name in enumerate(quad_names)},
             accepted=int(accepted[j]),
             rejected=int(rejected[j]),
         )
-        for name, column in zip(quad_names, columns[3:]):
-            traj.quadratures[name] = column
         if mon_names:
-            points = np.empty((len(rows), 4))
-            points[:, :3] = rows[:, :3]
-            points[:, 3] = grid_t[: len(rows)]
-            values = mon(points)
+            values = mon(np.column_stack((traj.states, traj.times)))
             if not np.isfinite(values).all():
                 # the scalar path raises or returns what its monitors do
                 out.append(None)
                 continue
-            traj.monitors = dict(zip(mon_names, values.T.tolist()))
+            traj.monitors = {name: column.copy() for name, column in zip(mon_names, values.T)}
         out.append(traj)
     return out
 
@@ -584,10 +618,9 @@ def _lockstep(f, cfgs, grid, dim):
     accepted = np.zeros(m, dtype=np.intp)
     rejected = np.zeros(m, dtype=np.intp)
     rerun = np.zeros(m, dtype=bool)
-    A = [_column(row) for row in _A]
-    B5 = _column(_B5)
-    E = _column(_E)
-    P = [np.array(c)[:, None] for c in zip(*_P)]  # coefficient of th^(i+1), per stage
+    A = [np.array(row)[:, None, None] for row in _A]
+    BE = np.array([_B5, _E]).T[:, :, None, None]  # (stage, update or error, 1, 1)
+    steps = []  # (pos, ok, t, h, tn, y, K) of the passes since the last _dense
 
     pos = np.arange(m)  # block row of each live member
     rtol, atol, max_step = np.array(
@@ -611,6 +644,7 @@ def _lockstep(f, cfgs, grid, dim):
             )
             y, k0 = y[:, live], k0[:, live]
         if not pos.size:
+            _dense(block, grid, done, steps)
             return block, done, accepted, rejected, rerun
         d = t1 - t
         h = np.where(d < h, d, h)
@@ -619,17 +653,21 @@ def _lockstep(f, cfgs, grid, dim):
         K[0] = k0
         for s in range(1, 7):
             _stage(f, K[s], y[:3] + h * _wsum(A[s] * K[:s, :3]), t + _C[s] * h)
-        yn = y + h * _wsum(B5 * K)
+        update, e = h * _wsum(BE * K[:, None])
+        yn = y + update
         # every stage enters this sum (0.0 * inf is nan), so a finite new
         # state means finite derivatives too
         bad |= ~np.isfinite(yn).all(axis=0)
-        e = h * _wsum(E * K)
         ratio2 = (e / (atol + rtol * np.maximum(np.abs(yn), np.abs(y)))) ** 2
         err = np.sqrt(_wsum(ratio2) / dim)
         ok = (err <= 1.0) & ~bad
         tn = t + h
         if ok.any():
-            _dense(block, grid, done, pos, np.flatnonzero(ok), t, h, tn, y, K, P)
+            # none of these arrays is written in place after this pass
+            steps.append((pos, ok, t, h, tn, y, K))
+            if len(steps) == _DENSE_PASSES:
+                _dense(block, grid, done, steps)
+                steps = []
         fac = np.where(err > 0, _SAFETY * err**-0.17 * facold**0.04, _FAC_MAX)
         fac = np.where(fac > _FAC_MIN, fac, _FAC_MIN)
         fac = np.where(fac < _FAC_MAX, fac, _FAC_MAX)
@@ -645,29 +683,47 @@ def _lockstep(f, cfgs, grid, dim):
         rejected[pos] += ~ok
 
 
-def _dense(block, grid, done, pos, sel, t, h, tn, y, K, P):
-    """Dense output of the accepted steps of live members ``sel``, at every
-    grid time up to each one's new time ``tn``: all (member, sample) pairs
-    at once."""
-    a = np.abs(tn[sel])
-    lim = tn[sel] + 1e-14 * np.where(a > 1.0, a, 1.0)
-    start = done[pos[sel]]
-    stop = np.searchsorted(grid, lim, side="right")
-    done[pos[sel]] = stop
+def _dense(block, grid, done, steps):
+    """Dense output of the accepted steps among ``steps``, the
+    ``(pos, ok, t, h, tn, y, K)`` of consecutive passes, at every grid time
+    up to each step's new time ``tn``: all (member, sample) pairs at once.
+    ``done[j]`` counts the samples member ``j`` has and is advanced."""
+    if not steps:
+        return
+    dim = steps[0][5].shape[0]
+    pos, ok, tn = (np.concatenate(c) for c in zip(*[(s[0], s[1], s[4]) for s in steps]))
+    # one column per live member and pass: t, h, y, then K stage by stage
+    table = np.concatenate(
+        [np.concatenate((t[None], h[None], y, K.reshape(7 * dim, -1))) for _, _, t, h, _, y, K in steps],
+        axis=1,
+    )
+    step = np.flatnonzero(ok)
+    # by member, and within one member in pass order: each step's first
+    # sample follows the last sample of the member's step before it
+    step = step[np.argsort(pos[step], kind="stable")]
+    who = pos[step]
+    a = np.abs(tn[step])
+    stop = np.searchsorted(grid, tn[step] + 1e-14 * np.where(a > 1.0, a, 1.0), side="right")
+    first = np.ones(len(step), dtype=bool)
+    first[1:] = who[1:] != who[:-1]
+    start = np.where(first, done[who], np.concatenate(([0], stop[:-1])))
+    last = np.append(first[1:], True)
+    done[who[last]] = stop[last]
     count = stop - start
     if not count.any():
         return
-    who = np.repeat(sel, count)
     sample = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-    hw = h[who]
-    th = (grid[sample] - t[who]) / hw
+    G = table[:, np.repeat(step, count)]  # (t, h, y, K) of each pair's step
+    t, h, y, K = G[0], G[1], G[2 : 2 + dim], G[2 + dim :].reshape(7, dim, -1)
+    th = (grid[sample] - t) / h
     th = np.where(th > 0.0, th, 0.0)
     th = np.where(th < 1.0, th, 1.0)
     th2 = th * th
     th3 = th2 * th
     th4 = th2 * th2
+    P = [np.array(c)[:, None] for c in zip(*_P)]  # coefficient of th^(i+1), per stage
     w = P[0] * th + P[1] * th2 + P[2] * th3 + P[3] * th4  # (stage, pair)
-    block[pos[who], 1 + sample] = (y[:, who] + hw * _wsum(K[:, :, who] * w[:, None])).T
+    block[np.repeat(who, count), 1 + sample] = (y + h * _wsum(K[j] * w[j] for j in range(7))).T
 
 
 def convergence_order(X, t0, t1, y0, exact, steps):

@@ -3,6 +3,7 @@ and every CLI example in the README executed verbatim.
 """
 
 import csv
+import hashlib
 import json
 import re
 import subprocess
@@ -375,16 +376,45 @@ def _split_command(cmd):
     return shlex.split(cmd)
 
 
+# sha256 of the CSV each README simulate example writes, keyed by its --out
+# file name; recorded before Trajectory held arrays, whose CSV must not change
+README_SIMULATE_SHA256 = {
+    "biham3-q.csv": "f11e285f7d2806f6fc3c3f06906316b5adaf796941aacc0778014b79069aa30b",
+    "biham3-lu.csv": "841797f892e3cf157040b26d8765801aa25984dd04f73c2652cba18b077ea3ee",
+}
+
+
+def test_readme_simulate_csvs_are_pinned(tmp_path, capsys):
+    lines = README.read_text().splitlines()
+    cmds = [l.strip()[2:] for l in lines if l.strip().startswith("$ python -m biham3 simulate")]
+    assert len(cmds) == len(README_SIMULATE_SHA256)
+    for cmd in cmds:
+        argv = _split_command(cmd)[3:]
+        k = argv.index("--out") + 1
+        out = tmp_path / Path(argv[k]).name
+        argv[k] = str(out)
+        assert main(argv) == 0, cmd
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == README_SIMULATE_SHA256[out.name], cmd
+
+
+def test_a_one_element_multiplier_basis_is_searched(capsys):
+    code, out, _ = run(["discover", "lu-transformed", "--degree", "0", "--functional", "multiplier"], capsys)
+    assert code == 0 and json.loads(out)["basis"]["size"] == 1
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
         (["--degree", "-1"], "error: degree must be >= 0"),
+        (["--degree", "0"], "error: basis must have at least two elements"),
+        (["--degree", "0", "--functional", "spatial"], "error: basis must have at least two elements"),
         (["--degree", "2", "--samples", "0"], "error: need at least 3*|basis| = 30"),
         (["--degree", "2", "--weights=0..-2"], "error: weights must list at least one k"),
         (["--degree", "30"], "error: a search over 5456 basis elements at 16368 points"),
         (["--degree", "2", "--samples", "1000000000"], "error: a search over 10 basis elements"),
     ],
-    ids=["negative-degree", "no-samples", "empty-weights", "degree-past-limit", "samples-past-limit"],
+    ids=["negative-degree", "constant-basis", "constant-spatial-basis", "no-samples", "empty-weights", "degree-past-limit", "samples-past-limit"],
 )
 def test_discover_input_errors_are_usage_errors(capsys, args, message):
     start = time.perf_counter()

@@ -10,6 +10,7 @@ coordinates growing like exp(t), so H1 stays O(1) while its terms reach
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from biham3 import catalog as cat
@@ -101,9 +102,9 @@ def test_determinism_bit_identical():
     m = {"H1": d.bound_scalar(d.h1)}
     a = integrate(d.bound_field(), cfg, monitors=m)
     b = integrate(d.bound_field(), cfg, monitors=m)
-    assert a.times == b.times
-    assert a.states == b.states
-    assert a.monitors == b.monitors
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.monitors["H1"], b.monitors["H1"])
     assert (a.accepted, a.rejected) == (b.accepted, b.rejected)
 
 
@@ -114,7 +115,7 @@ def test_ensemble_matches_sequential_and_isolates_failures():
     blows_up = IntegratorConfig(t0=0.0, t1=20.0, y0=(1.0, 1.0, 1.0))
     out = ensemble(X, [good, blows_up, good])
     assert out[0].ok() and out[2].ok()
-    assert out[0].times == out[2].times and out[0].states == out[2].states
+    assert np.array_equal(out[0].times, out[2].times) and np.array_equal(out[0].states, out[2].states)
     assert not out[1].ok() and "underflow" in out[1].aborted
     assert ensemble(X, []) == []
 
@@ -229,7 +230,7 @@ def test_step_underflow_aborts_with_partial_trajectory():
     traj = integrate(d.bound_field(), cfg)
     assert not traj.ok()
     assert "underflow" in traj.aborted
-    assert traj.times and traj.times[-1] < 2.2
+    assert len(traj.times) and traj.times[-1] < 2.2
     assert all(math.isfinite(c) for s in traj.states for c in s)
 
 
@@ -422,7 +423,7 @@ def test_rhs_failure_at_the_initial_state():
     cfg = IntegratorConfig(t0=0.0, t1=1.0, y0=(-1.0, 0.0, 0.0))
     traj = integrate(LN_FIELD, cfg)
     assert traj.aborted == "right-hand side failed at t=0: math domain error"
-    assert traj.times == [0.0] and traj.states == [(-1.0, 0.0, 0.0)]
+    assert np.array_equal(traj.times, [0.0]) and np.array_equal(traj.states, [(-1.0, 0.0, 0.0)])
     assert (traj.accepted, traj.rejected) == (0, 0)
 
 
@@ -460,7 +461,7 @@ def _assert_close(batched, alone, scales):
     quantity (``scales`` maps a monitor name to its term-scale function)."""
     assert batched.ok() and alone.ok()
     assert (batched.accepted, batched.rejected) == (alone.accepted, alone.rejected)
-    assert batched.times == alone.times
+    assert np.array_equal(batched.times, alone.times)
     for a, b in zip(batched.states, alone.states):
         assert all(abs(x - y) <= 1e-9 * (1.0 + abs(y)) for x, y in zip(a, b))
     assert batched.quadratures.keys() == alone.quadratures.keys()
@@ -557,8 +558,8 @@ def test_a_failing_monitor_aborts_only_its_own_ensemble_member():
     assert bad.aborted == "monitor log failed at t=2.31: math domain error"
     # cut back to the samples before t = 2.31, where 3*cos(t) = -2.0006
     full = integrate(HARMONIC, cfgs[BATCH // 2])
-    assert bad.times == full.times[:231] and bad.states == full.states[:231]
-    assert bad.monitors["log"] == [math.log(2 + u) for u, _, _ in bad.states]
+    assert np.array_equal(bad.times, full.times[:231]) and np.array_equal(bad.states, full.states[:231])
+    assert np.array_equal(bad.monitors["log"], [math.log(2 + u) for u, _, _ in bad.states])
     assert all(traj.ok() and len(traj.times) == 301 for k, traj in enumerate(out) if k != BATCH // 2)
 
 
@@ -568,6 +569,60 @@ def test_identical_members_of_a_batch_are_equal(monkeypatch):
     cfgs = [IntegratorConfig(t0=0.0, t1=2.0, y0=y0) for y0 in starts + starts[:1]]
     out = _batched(monkeypatch, d.bound_field(), cfgs, monitors={"H1": d.bound_scalar(d.h1)})
     assert out[0] == out[-1]
+
+
+def test_batched_members_own_their_arrays(monkeypatch):
+    d, monitors, quads = _chen_variant_quadrature()
+    cfgs = [IntegratorConfig(t0=0.0, t1=1.0, y0=y0) for y0 in _starts(9, BATCH, 0.05, 0.15)]
+    out = _batched(monkeypatch, d.bound_field(), cfgs, monitors=monitors, quadratures=quads)
+    arrays = [[tr.times, tr.states, *tr.monitors.values(), *tr.quadratures.values()] for tr in out]
+    # a view into the group's sample block would keep the whole block alive
+    assert all(a.flags.owndata for member in arrays for a in member)
+    for k, member in enumerate(arrays):
+        for other in arrays[k + 1 :]:
+            assert not any(np.shares_memory(a, b) for a in member for b in other)
+
+
+def test_members_leave_a_batch_that_spans_many_dense_passes():
+    # w' = w^2 blows up at t = 1/w0; ln(2 + u) fails once u < -2
+    X = VectorField3.from_exprs([parse("v"), parse("-u"), parse("w^2")], UVW)
+    log = {"log": ScalarField(parse("ln(2 + u)"), UVW)}
+    cfgs = [IntegratorConfig(t0=0.0, t1=6.0, y0=(1.0 + k / 64, 0.0, 0.0)) for k in range(BATCH)]
+    cfgs[3] = IntegratorConfig(t0=0.0, t1=6.0, y0=(1.0, 0.0, 0.4))
+    cfgs[7] = IntegratorConfig(t0=0.0, t1=6.0, y0=(3.0, 0.0, 0.0))
+    alone = []
+    run = integrate_mod._run
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(integrate_mod, "_run", lambda *args: alone.append(args[-1]) or run(*args))
+        out = ensemble(X, cfgs, monitors=log)
+    assert alone == [cfgs[3], cfgs[7]]
+    expected = [integrate(X, cfg, monitors=log) for cfg in cfgs]
+    assert out[3] == expected[3] and out[7] == expected[7]
+    assert out[3].aborted.startswith("step size underflow at t=2.5")
+    assert out[7].aborted == "monitor log failed at t=2.31: math domain error"
+    # the underflowing member left after several dense evaluations, the
+    # others finished after several more
+    passes = integrate_mod._DENSE_PASSES
+    assert out[3].accepted > 3 * passes and min(tr.accepted for tr in out) > 3 * passes
+    scales = {"log": lambda y, t: abs(math.log(2 + y[0]))}
+    for k, (traj, alone_traj) in enumerate(zip(out, expected)):
+        if k not in (3, 7):
+            _assert_close(traj, alone_traj, scales)
+
+
+def test_trajectory_equality_compares_arrays_exactly():
+    cfg = IntegratorConfig(t0=0.0, t1=1.0, y0=(1.0, 0.0, 0.0))
+    huge = {"huge": ScalarField(parse("1e300*u^2"), UVW)}
+    a, b = integrate(HARMONIC, cfg, monitors=huge), integrate(HARMONIC, cfg, monitors=huge)
+    assert a == b and not a != b
+    b.states[5, 1] = np.nextafter(b.states[5, 1], 1.0)
+    assert a != b
+    c = integrate(HARMONIC, cfg)
+    assert c != a and c != "trajectory"
+    # an integer t0 gives the same floats, and the same CSV, as 0.0
+    d = integrate(HARMONIC, IntegratorConfig(t0=0, t1=1, y0=(1, 0, 0)), monitors=huge)
+    assert d == a and d.to_csv() == a.to_csv()
+    assert d.to_csv().splitlines()[1].startswith("0,1,0,0,")
 
 
 def test_small_groups_stay_on_the_scalar_kernel():
