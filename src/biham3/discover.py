@@ -3,19 +3,29 @@
 A candidate F = sum_j c_j b_j over a monomial (optionally
 exponential-weighted) basis is a time-independent-in-value first
 integral of xdot = X when dF/dt = dF/dt|explicit + grad(F).X vanishes
-identically; a candidate M is a last multiplier when div(M X) vanishes.
-Both are linear conditions in the coefficients, so sampling the
-functional at many seeded points turns discovery into a numerical
-nullspace problem, solved by SVD with a relative singular-value
-threshold.  The sampled route handles exponential time weights
-uniformly; exact symbolic cancellation of grad(F).X remains available
-through the expression layer as an independent confirmation for the
-polynomial cases.
+identically, a spatial invariant when grad(F).X alone does, and a
+candidate M is a last multiplier when div(M X) vanishes.  Each
+condition is linear in the coefficients: applying the functional to
+basis element j gives a row r_j, and the candidates span the nullspace
+{c : sum_j c_j r_j = 0}.
 
-Candidates are reported in two forms: the raw orthonormal nullspace
-basis, and a Gauss-Jordan-sparsified basis of the same span (unit norm,
-first significant coefficient positive) whose vectors line up with the
-catalog integrals instead of arbitrary rotations of them.
+The search is exact first.  When every term of every expanded row is a
+rational multiple of a monomial (integer powers of the frame and time
+variables) times at most one exp of a sum of monomials without constant
+term, distinct terms are linearly independent functions, so sum_j c_j r_j
+vanishes exactly when, term by term, the coefficients cancel.  Those
+term equations are solved over the rationals by sparse Gauss-Jordan
+elimination (Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
+1992, ch. 2-3).  Rows with any other term (a quotient, ln, sin, cos or
+a parameter) fall back to sampling: the functional is evaluated at
+seeded points and the nullspace is taken from an SVD with a relative
+singular-value threshold, then validated at fresh points.
+
+Candidates are reported in two forms: an orthonormal basis of the
+nullspace, and the reduced row echelon basis of the same span (leading
+coefficient 1, zero at the other candidates' leading elements), whose
+vectors line up with the catalog integrals instead of arbitrary
+rotations of them.  The report's ``method`` says which route was taken.
 """
 
 from __future__ import annotations
@@ -135,20 +145,25 @@ class Candidate:
 class DiscoveryResult:
     kind: str
     basis: AnsatzBasis
+    method: str  # "exact" (term equations over the rationals) or "sampled"
     nullspace_dim: int
-    nullspace: tuple  # orthonormal rows (tuples), sign-fixed
-    candidates: tuple  # sparsified Candidate list
-    singular_values: tuple
+    nullspace: tuple  # orthonormal rows (tuples)
+    candidates: tuple  # reduced row echelon Candidate list
+    singular_values: tuple  # empty on the exact route
     seed: int
-    n_points: int
+    n_points: int  # sample points; 0 on the exact route
+    equations: int  # term equations, or sample points when sampled
     annotations: tuple = ()
 
     def to_dict(self):
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": self.kind,
+            "method": self.method,
             "basis": self.basis.describe() | {"elements": self.basis.labels()},
             "nullspace_dim": self.nullspace_dim,
+            "equations": self.equations,
+            "rank": len(self.basis) - self.nullspace_dim,
             "singular_values": list(self.singular_values),
             "candidates": [
                 {
@@ -174,19 +189,136 @@ def _default_domain(frame, time):
     return box
 
 
+def _terms(e):
+    return e.terms if isinstance(e, ex.Add) else (e,)
+
+
+def _weight(e):
+    """Split a basis element into (m, w) with e = m*w, where w is its exp
+    factor, or None when it has none."""
+    if isinstance(e, ex.Exp):
+        return ex.ONE, e
+    if isinstance(e, ex.Mul) and isinstance(e.factors[-1], ex.Exp):
+        return ex.mul(*e.factors[:-1]), e.factors[-1]
+    return e, None
+
+
 def _derivative_rows(X, basis, total):
-    """grad(b).X for each basis element b, plus db/dt when ``total``."""
+    """grad(b).X for each basis element b, plus db/dt when ``total``, each
+    expanded.
+
+    An element m*w whose weight w = exp(a) has an exponent free of the
+    frame variables has grad(m*w).X = w*(grad(m).X), so grad(m).X is
+    expanded once per monomial m and multiplied by each weight term by
+    term.  Any other element is differentiated whole."""
+    frame = set(X.frame)
+    spatial = {}
     rows = []
     for b in basis.elements:
-        expr = ex.differentiate(b.expr, basis.time) if total else ex.ZERO
-        for c, v in zip(X.exprs(), X.frame):
-            expr = ex.add(expr, ex.mul(ex.differentiate(b.expr, v), c))
-        rows.append(ex.expand(expr))
+        m, w = _weight(b.expr)
+        if w is not None and w.arg.free_symbols() & frame:
+            m, w = b.expr, None
+        g = spatial.get(m)
+        if g is None:
+            g = spatial[m] = ex.expand(
+                ex.add(*[ex.mul(ex.differentiate(m, v), c) for c, v in zip(X.exprs(), X.frame)])
+            )
+        if w is None:
+            parts = [g]
+        else:
+            w = ex.expand(w)
+            parts = [ex.mul(term, w) for term in _terms(g)]
+        if total:
+            parts.append(ex.expand(ex.differentiate(b.expr, basis.time)))
+        rows.append(ex.add(*parts))
     return rows
 
 
 def _multiplier_rows(X, basis):
-    return [divergence(scale(X, b.expr)).expr for b in basis.elements]
+    return [ex.expand(divergence(scale(X, b.expr)).expr) for b in basis.elements]
+
+
+def _monomial(e, names):
+    """Whether ``e`` is a product of integer powers of the variables ``names``."""
+    for f in e.factors if isinstance(e, ex.Mul) else (e,):
+        if isinstance(f, ex.Pow):
+            f = f.base
+        if not (isinstance(f, ex.Var) and f.name in names):
+            return False
+    return True
+
+
+def _independent(rest, names):
+    """Whether a canonical term with its coefficient split off is a
+    monomial in the variables ``names`` times at most one exp of a sum of
+    such monomials without constant term.  Distinct terms of this form
+    are linearly independent functions."""
+    if rest is ex.ONE:
+        return True
+    factors = rest.factors if isinstance(rest, ex.Mul) else (rest,)
+    if isinstance(factors[-1], ex.Exp):
+        for t in _terms(factors[-1].arg):
+            _, mono = ex._split_coeff(t)
+            if mono is ex.ONE or not _monomial(mono, names):
+                return False
+        factors = factors[:-1]
+    return all(_monomial(f, names) for f in factors)
+
+
+def _exact_nullspace(rows, names):
+    """The nullspace of the rows' term equations over the rationals, or
+    None when a term is not _independent.
+
+    Returns (vectors, equations): Fraction lists in reduced row echelon
+    form and the number of distinct terms.  Each equation is reduced by
+    the pivots so far at its largest column and becomes a pivot there,
+    so the free columns, which index the vectors, come as early as they
+    can and each vector has its leading 1 at its own free column."""
+    eqs = {}  # term key -> {column: coefficient}
+    for j, row in enumerate(rows):
+        for t in _terms(row):
+            c, rest = ex._split_coeff(t)
+            if c == 0:
+                continue
+            eq = eqs.get(rest.key())
+            if eq is None:
+                if not _independent(rest, names):
+                    return None
+                eq = eqs[rest.key()] = {}
+            eq[j] = c
+    pivots = {}  # column -> equation scaled to 1 there, nonzero only at or left of it
+    for eq in eqs.values():
+        while eq:
+            col = max(eq)
+            piv = pivots.get(col)
+            if piv is None:
+                top = eq[col]
+                pivots[col] = {j: c / top for j, c in eq.items()}
+                break
+            f = eq[col]
+            for j, c in piv.items():
+                v = eq.get(j, 0) - f * c
+                if v:
+                    eq[j] = v
+                else:
+                    del eq[j]
+    order = sorted(pivots)
+    vectors = []
+    for free in range(len(rows)):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * len(rows)
+        v[free] = Fraction(1)
+        for p in order:
+            if p > free:
+                v[p] = -sum(c * v[j] for j, c in pivots[p].items() if j != p)
+        vectors.append(v)
+    return vectors, len(eqs)
+
+
+def _combination(coeffs, basis):
+    terms = [ex.mul(ex.con(c), b.expr) for c, b in zip(coeffs, basis.elements) if c]
+    return ex.add(*terms) if terms else ex.ZERO
 
 
 def _sign_fix(vec):
@@ -232,19 +364,48 @@ def _sparsify(null_rows):
 
 
 def _coeff_expr(coeffs, basis):
-    terms = []
-    for c, b in zip(coeffs, basis.elements):
-        if c == 0.0:
-            continue
+    """The combination of a sampled nullspace vector, each coefficient
+    snapped to a rational with denominator at most 10^4 when that is
+    within 1e-12 relative."""
+    snapped = []
+    for c in coeffs:
         frac = Fraction(c).limit_denominator(10**4)
-        cc = ex.con(frac) if abs(float(frac) - c) <= 1e-12 * max(1.0, abs(c)) else ex.con(float(c))
-        terms.append(ex.mul(cc, b.expr))
-    return ex.add(*terms) if terms else ex.ZERO
+        snapped.append(frac if abs(float(frac) - c) <= 1e-12 * max(1.0, abs(c)) else float(c))
+    return _combination(snapped, basis)
 
 
 def _search(kind, basis, rows, n, seed):
+    n = sample_count(len(basis), n)
+    exact = _exact_nullspace(rows, set(basis.frame) | {basis.time})
+    if exact is None:
+        return _sampled_search(kind, basis, rows, n, seed)
+    vectors, equations = exact
+    candidates = []
+    for vec in vectors:
+        v = np.array([float(c) for c in vec])
+        unit = v / np.linalg.norm(v)
+        candidates.append(Candidate(tuple(float(c) for c in unit), _combination(vec, basis), 0.0))
+    null = ()
+    if candidates:
+        # row k: the unit part of candidate k orthogonal to those before it
+        Q, R = np.linalg.qr(np.array([c.coefficients for c in candidates]).T)
+        null = tuple(tuple(float(c) for c in row) for row in (Q * np.sign(np.diag(R))).T)
+    return DiscoveryResult(
+        kind=kind,
+        basis=basis,
+        method="exact",
+        nullspace_dim=len(vectors),
+        nullspace=null,
+        candidates=tuple(candidates),
+        singular_values=(),
+        seed=seed,
+        n_points=0,
+        equations=equations,
+    )
+
+
+def _sampled_search(kind, basis, rows, n, seed):
     m = len(basis)
-    n = sample_count(m, n)
     box = _default_domain(basis.frame, basis.time)
     names, pts = sample_box(SeededSampler(seed), box, n)
     functional = ex.compile_array(rows, names)
@@ -289,17 +450,19 @@ def _search(kind, basis, rows, n, seed):
     return DiscoveryResult(
         kind=kind,
         basis=basis,
+        method="sampled",
         nullspace_dim=null_dim,
         nullspace=tuple(tuple(float(c) for c in row) for row in null),
         candidates=tuple(candidates),
         singular_values=tuple(float(s) for s in svals),
         seed=seed,
         n_points=n,
+        equations=n,
     )
 
 
 def first_integral_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
-    """Nullspace of the sampled functional dF/dt along X over the basis.
+    """Nullspace of the functional dF/dt along X over the basis.
 
     The constants are always a solution, so the dimension is at least 1.
     """
@@ -327,7 +490,7 @@ def spatial_invariant_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=4
 
 
 def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
-    """Nullspace of the sampled functional div(M X) over the basis.
+    """Nullspace of the functional div(M X) over the basis.
 
     Candidates that come close to vanishing on the domain are flagged,
     since a last multiplier must stay away from zero.
@@ -351,28 +514,65 @@ def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
     return replace(result, candidates=tuple(flagged))
 
 
+def _coordinates(e, index):
+    """The basis coordinates of ``e`` read off its expanded terms, or None
+    when a term is not a multiple of a basis element; ``index`` maps each
+    element's term key to (position, coefficient)."""
+    kappa = np.zeros(len(index))
+    for t in _terms(ex.expand(e)):
+        c, rest = ex._split_coeff(t)
+        if c == 0:
+            continue
+        hit = index.get(rest.key())
+        if hit is None:
+            return None
+        kappa[hit[0]] = float(c / hit[1])
+    return kappa
+
+
+def _sampled_coordinates(known, basis, seed):
+    """Least-squares basis coordinates of each known integral at 400
+    points drawn with ``seed``, with the fit residual relative to the
+    integral's size."""
+    box = _default_domain(basis.frame, basis.time)
+    names, pts = sample_box(SeededSampler(seed), box, 400)
+    B = ex.compile_array([b.expr for b in basis.elements], names)(pts)
+    targets = ex.compile_array([sf.expr for sf in known], names)(pts)
+    out = []
+    for target in targets.T:
+        kappa, _, _, _ = np.linalg.lstsq(B, target, rcond=None)
+        residual = np.max(np.abs(B @ kappa - target)) / (1.0 + np.max(np.abs(target)))
+        out.append((kappa, float(residual)))
+    return out
+
+
 def annotate(result: DiscoveryResult, known):
     """Match known integrals against the discovered span.
 
-    Each known ScalarField is expanded in the basis by least squares at
-    400 points drawn with the result's seed plus 3; the annotation
-    records the projection cosine onto the nullspace span ("matched"
-    when above 1 - 1e-8) and the best single candidate alignment.
+    Each known ScalarField's coordinates in the basis are read off its
+    expanded terms when each term is a multiple of a basis element.
+    Otherwise every known integral is expanded in the basis by least
+    squares at 400 points drawn with the result's seed plus 3, and
+    counts as expressible when the fit residual is below 1e-8.  The
+    annotation records the projection cosine onto the nullspace span
+    ("matched" when above 1 - 1e-8) and the best single candidate
+    alignment.
     """
     basis = result.basis
-    box = _default_domain(basis.frame, basis.time)
-    names, pts = sample_box(SeededSampler(result.seed + 3), box, 400)
-    B = ex.compile_array([b.expr for b in basis.elements], names)(pts)
-    targets = ex.compile_array([sf.expr for sf in known], names)(pts)
+    index = {}
+    for j, b in enumerate(basis.elements):
+        c, rest = ex._split_coeff(ex.expand(b.expr))
+        index[rest.key()] = (j, c)
+    fits = [_coordinates(sf.expr, index) for sf in known]
+    if any(kappa is None for kappa in fits):
+        fits = _sampled_coordinates(known, basis, result.seed + 3)
+    else:
+        fits = [(kappa, 0.0) for kappa in fits]
 
     V = np.array(result.nullspace) if result.nullspace_dim else np.zeros((0, len(basis)))
     C = np.array([c.coefficients for c in result.candidates])
     annotations = []
-    for sf, target in zip(known, targets.T):
-        kappa, _, _, _ = np.linalg.lstsq(B, target, rcond=None)
-        fit_residual = float(
-            np.max(np.abs(B @ kappa - target)) / (1.0 + np.max(np.abs(target)))
-        )
+    for sf, (kappa, fit_residual) in zip(known, fits):
         entry = {"known": str(sf.expr), "expressible": fit_residual < 1e-8}
         norm = np.linalg.norm(kappa)
         if norm == 0.0 or not entry["expressible"]:
@@ -387,6 +587,6 @@ def annotate(result: DiscoveryResult, known):
             cos = np.abs(C @ khat) / np.linalg.norm(C, axis=1)
             best = int(np.argmax(cos))
             entry["best_candidate"] = str(result.candidates[best].expr)
-            entry["best_cosine"] = float(cos[best])
+            entry["best_cosine"] = min(float(cos[best]), 1.0)
         annotations.append(entry)
     return replace(result, annotations=tuple(annotations))

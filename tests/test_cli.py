@@ -206,18 +206,25 @@ def test_discover_cli(tmp_path, capsys):
     }
 
 
-def test_discover_with_a_non_snapping_coefficient(tmp_path, capsys):
-    # at this seed a sparsified coefficient does not snap to a rational
-    # (4999999999978859/5000000000000000*v^2 + w^2*exp(-2*t))
-    out = tmp_path / "disc.json"
-    code, _, err = run(
-        ["discover", "modified-lu", "--degree", "4", "--weights=-2..0", "--functional",
-         "spatial", "--seed", "2", "--out", str(out)],
-        capsys,
-    )
-    assert code == 0, err
-    data = json.loads(out.read_text())
-    assert data["seed"] == 2 and data["candidates"]
+DISCOVER_DEG4 = [
+    "discover", "modified-lu", "--degree", "4", "--weights=-2..0", "--functional", "spatial",
+]
+
+
+def test_discover_deg4_is_exact_and_seed_independent(tmp_path, capsys):
+    # a sampled search printed 4999999999978859/5000000000000000*v^2 at seed 2
+    reports = []
+    for seed in ("2", "42"):
+        out = tmp_path / f"disc{seed}.json"
+        code, _, err = run([*DISCOVER_DEG4, "--seed", seed, "--out", str(out)], capsys)
+        assert code == 0, err
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["candidates"] == reports[1]["candidates"]
+    assert reports[0]["method"] == "exact" and reports[0]["nullspace_dim"] == 11
+    for c in reports[0]["candidates"]:
+        assert all(int(d) <= 100 for d in re.findall(r"/(\d+)", c["expr"])), c["expr"]
+    # H1 and H2 are candidates; their float cosine must not read above 1
+    assert all(1 - 1e-12 < a["best_cosine"] <= 1.0 for a in reports[0]["annotations"])
 
 
 def test_bracket_prints_constant(capsys):
@@ -430,3 +437,33 @@ def test_bad_parameter_name_in_a_system_file_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(["verify", str(path), "--samples", "10"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: line 4: 'u' is not a parameter name")
+
+
+# sha256 of the report each discover command writes: the README examples by
+# their --out file name, and discover-deg4's command by its seed; recorded
+# when discovery became exact-first (report schema 2)
+DISCOVER_SHA256 = {
+    "biham3-disc.json": "c2675c039b0c4f0cfe7a2b10ca52f3b3ec147104c19fbf5814bc92577f94b38d",
+    "biham3-ml.json": "df7523cb282d4441b6b6f048f26a0c2c9d61f47b9e164527524aed2a79e9b1b8",
+    "--seed 42": "df7523cb282d4441b6b6f048f26a0c2c9d61f47b9e164527524aed2a79e9b1b8",
+    "--seed 2": "53c1698c36197d29f02cf1c0df61e205dc6da4b7800531dd5fb98525d4440b83",
+}
+
+
+def test_discover_reports_are_pinned(tmp_path, capsys):
+    lines = README.read_text().splitlines()
+    readme = [l.strip()[2:] for l in lines if l.strip().startswith("$ python -m biham3 discover")]
+    cmds = {}
+    for cmd in readme:
+        argv = _split_command(cmd)[3:]
+        cmds[Path(argv[argv.index("--out") + 1]).name] = argv
+    for seed in ("42", "2"):
+        cmds[f"--seed {seed}"] = [*DISCOVER_DEG4, "--seed", seed, "--out", f"deg4-{seed}.json"]
+    assert cmds.keys() == DISCOVER_SHA256.keys()
+    for key, argv in cmds.items():
+        k = argv.index("--out") + 1
+        out = tmp_path / Path(argv[k]).name
+        argv[k] = str(out)
+        assert main(argv) == 0, key
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DISCOVER_SHA256[key], key

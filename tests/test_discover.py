@@ -1,8 +1,10 @@
 """Discovery: ansatz bases, nullspace search, annotation.
 
-Soundness bar: every returned candidate validates below 1e-8 relative
-at 1000 fresh seeded points; known-integral matches require a subspace
-projection cosine above 1 - 1e-8.
+Soundness bar: an exact candidate's functional expands to zero; a
+sampled candidate validates below 1e-8 relative at 1000 fresh seeded
+points; known-integral matches require a subspace projection cosine
+above 1 - 1e-8.  The sampled search is the exact one's independent
+oracle.
 """
 
 import numpy as np
@@ -13,13 +15,17 @@ from biham3 import expr as ex
 from biham3.expr import parse
 from biham3.discover import (
     DiscoveryError,
+    _derivative_rows,
+    _multiplier_rows,
+    _sampled_search,
     annotate,
     build_basis,
     first_integral_search,
     multiplier_search,
+    sample_count,
     spatial_invariant_search,
 )
-from biham3.vecfield import ScalarField, VectorField3, scale
+from biham3.vecfield import ScalarField, VectorField3, divergence, scale
 
 UVW = ("u", "v", "w")
 
@@ -177,10 +183,14 @@ def test_result_json():
     import json
 
     data = json.loads(res.to_json())
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["kind"] == "first-integral"
+    assert data["method"] == "exact"
     assert data["nullspace_dim"] == 2
+    assert data["rank"] == 8 and data["equations"] > 0
+    assert data["singular_values"] == [] and data["n"] == 0
     assert len(data["candidates"]) == 2
+    assert all(c["residual"] == 0.0 for c in data["candidates"])
     assert data["annotations"][0]["matched"] is True
 
 
@@ -206,3 +216,84 @@ def test_nonautonomous_h2_family_experiment():
     spatial = annotate(spatial_invariant_search(X, basis), [h2])
     assert spatial.annotations[0]["matched"]
     assert spatial.annotations[0]["subspace_cosine"] > 1 - 1e-8
+
+
+def _functional(kind, X, F, time):
+    """The search's functional applied to F directly, expanded."""
+    if kind == "multiplier":
+        return ex.expand(divergence(scale(X, F)).expr)
+    e = ex.differentiate(F, time) if kind == "first-integral" else ex.ZERO
+    for c, v in zip(X.exprs(), X.frame):
+        e = ex.add(e, ex.mul(ex.differentiate(F, v), c))
+    return ex.expand(e)
+
+
+SEARCHES = (
+    ("first-integral", first_integral_search),
+    ("spatial-invariant", spatial_invariant_search),
+    ("multiplier", multiplier_search),
+)
+
+
+@pytest.mark.parametrize("name", [s["name"] for s in cat.list_systems()])
+def test_exact_route_agrees_with_the_sampled_oracle(name):
+    d = cat.instantiate(name)
+    X = d.bound_field()
+    rate = ex.con(d.param_values["alpha"]) if "alpha" in d.param_values else ex.ONE
+    for basis in (
+        build_basis(2, d.frame, time=d.time),
+        build_basis(3, d.frame, weights=(-1, 0), rate=rate, time=d.time),
+    ):
+        for kind, search in SEARCHES:
+            if kind == "multiplier":
+                rows = _multiplier_rows(X, basis)
+            else:
+                rows = _derivative_rows(X, basis, kind == "first-integral")
+                # the weight-factored rows equal grad(b).X (+ db/dt) expanded whole
+                assert rows == [_functional(kind, X, b.expr, d.time) for b in basis.elements]
+            res = search(X, basis)
+            assert res.method == "exact" and res.singular_values == () and res.n_points == 0
+            for c in res.candidates:
+                assert _functional(kind, X, c.expr, d.time) == ex.ZERO, str(c.expr)
+                assert c.residual == 0.0
+            oracle = _sampled_search(kind, basis, rows, sample_count(len(basis)), 42)
+            assert oracle.method == "sampled"
+            assert res.nullspace_dim == oracle.nullspace_dim, (kind, len(basis))
+            if res.nullspace_dim:
+                cosines = np.linalg.svd(
+                    np.array(res.nullspace) @ np.array(oracle.nullspace).T, compute_uv=False
+                )
+                assert np.all(np.abs(cosines - 1.0) < 1e-8)
+
+
+# tests/test_verify.py's quotient-lu system: the rows of its functionals hold quotients
+QUOTIENT_LU = (
+    "name = quotient-lu\nframe = u v w\ntime = t\n"
+    "field = v/(1+u^2) ; -u*w/(1+u^2) ; u*v/(1+u^2)\n"
+    "multiplier = 1+u^2\n"
+    "h1 = 1/2*(v^2+w^2)\nh2 = 1/2*u^2 - w\norientation = auto\n"
+)
+
+
+def test_quotients_and_logarithms_take_the_sampled_route():
+    d = cat.instantiate(cat.load_system(QUOTIENT_LU))
+    res = first_integral_search(d.bound_field(), build_basis(2, d.frame))
+    res = annotate(res, [d.bound_scalar(d.h1), d.bound_scalar(d.h2)])
+    assert res.method == "sampled" and res.nullspace_dim == 3
+    assert res.n_points == 200 and len(res.singular_values) == 10
+    assert all(a["matched"] for a in res.annotations)
+
+    X = VectorField3.from_exprs([parse("v"), parse("-u"), parse("ln(3 + u)")], UVW)
+    res = first_integral_search(X, build_basis(2, UVW))
+    assert res.method == "sampled"
+    assert [str(c.expr) for c in res.candidates] == ["1", "u^2 + v^2"]
+
+
+def test_annotation_outside_the_basis_is_fitted_by_sampling():
+    d = cat.instantiate("lu-transformed")
+    res = first_integral_search(d.bound_field(), build_basis(2, UVW))
+    # u^3 is no basis element, so least squares fits the coordinates, and finds none
+    res = annotate(res, [ScalarField(parse("u^3"), UVW), d.bound_scalar(d.h1)])
+    cube, h1 = res.annotations
+    assert not cube["expressible"] and not cube["matched"]
+    assert h1["expressible"] and h1["matched"]
