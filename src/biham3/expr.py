@@ -831,7 +831,7 @@ def evaluate(e, bindings):
     raise ExprError(f"cannot evaluate node {type(e).__name__}")
 
 
-def _emit(e, names):
+def _emit(e, names, shared, bound):
     if isinstance(e, Const):
         return repr(float(e.value))
     if isinstance(e, (Var, Param)):
@@ -839,22 +839,44 @@ def _emit(e, names):
             raise UnboundSymbolError(e.name)
         return e.name
     if isinstance(e, Add):
-        return "(" + "+".join(_emit(t, names) for t in e.terms) + ")"
+        return "(" + "+".join(_emit(t, names, shared, bound) for t in e.terms) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_emit(f, names) for f in e.factors) + ")"
+        return "(" + "*".join(_emit(f, names, shared, bound) for f in e.factors) + ")"
     if isinstance(e, Pow):
-        return f"({_emit(e.base, names)}**{e.exponent})"
+        return f"({_emit(e.base, names, shared, bound)}**{e.exponent})"
     if isinstance(e, Quot):
-        return f"({_emit(e.num, names)}/{_emit(e.den, names)})"
-    if isinstance(e, Exp):
-        return f"_exp({_emit(e.arg, names)})"
-    if isinstance(e, Ln):
-        return f"_ln({_emit(e.arg, names)})"
-    if isinstance(e, Sin):
-        return f"_sin({_emit(e.arg, names)})"
-    if isinstance(e, Cos):
-        return f"_cos({_emit(e.arg, names)})"
+        return f"({_emit(e.num, names, shared, bound)}/{_emit(e.den, names, shared, bound)})"
+    if isinstance(e, _Func):
+        name = shared.get(e)
+        if name in bound:
+            return name
+        call = f"_{e.fname}({_emit(e.arg, names, shared, bound)})"
+        if name is None:
+            return call
+        bound.add(name)
+        return f"({name} := {call})"
     raise ExprError(f"cannot compile node {type(e).__name__}")
+
+
+def _sources(exprs, names):
+    """The source of each expression, in one scope.  A function node
+    (exp, ln, sin, cos) that occurs more than once is evaluated once: its
+    first occurrence binds it with ``:=`` and the later ones read the
+    name.  Python evaluates the emitted operands left to right, so the
+    first occurrence is the first evaluated, and every value and every
+    error is the same as with each occurrence evaluated anew."""
+    counts = {}
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, _Func):
+            counts[e] = counts.get(e, 0) + 1
+            if counts[e] > 1:
+                continue  # its arguments are counted once, as emitted
+        stack.extend(e.children())
+    shared = {e: f"_s{k}" for k, e in enumerate(e for e, n in counts.items() if n > 1)}
+    bound = set()
+    return [_emit(e, names, shared, bound) for e in exprs]
 
 
 _SCALAR_ENV = {"_exp": math.exp, "_ln": math.log, "_sin": math.sin, "_cos": math.cos}
@@ -882,13 +904,13 @@ def compile_fn(e, names):
     bit-identical to a scalar evaluation of the same points.
     """
     names = tuple(names)
-    return _lambda(_emit(e, names), (e,), names, _SCALAR_ENV)
+    return _lambda(_sources((e,), names)[0], (e,), names, _SCALAR_ENV)
 
 
 def compile_vector(exprs, names):
     """Compile several expressions into one tuple-returning function."""
     names = tuple(names)
-    body = ", ".join(_emit(e, names) for e in exprs)
+    body = ", ".join(_sources(exprs, names))
     return _lambda(f"({body},)", exprs, names, _SCALAR_ENV)
 
 
@@ -901,7 +923,7 @@ def compile_columns(exprs, names):
     The caller chooses the ``np.errstate``.
     """
     names = tuple(names)
-    body = ", ".join(_emit(e, names) for e in exprs)
+    body = ", ".join(_sources(exprs, names))
     return _lambda(f"({body},)" if exprs else "()", exprs, names, _ARRAY_ENV)
 
 

@@ -23,23 +23,27 @@ the right-hand side, the monitors and the kernel once for all members.
 
 An ensemble's adaptive members that share ``(t0, t1, sample_dt)`` are
 stepped together, once there are ``_BATCH_MIN`` of them, by a lockstep
-numpy kernel over arrays of members.  It does the scalar kernel's float
-operations in the same order, element by element, with a right-hand side
-compiled from the same expression source.  It differs from the scalar
-kernel only where numpy's ``exp``, ``power`` and squares round
-differently from libm's: on the qi ensemble every member takes the same
-steps and its states agree to about 1e-13 relative, but not to the bit.
-Members that abort are run again alone by the scalar kernel; everything
-else (smaller groups, rk4 members, :func:`integrate`) only ever runs the
-scalar kernel.
+numpy kernel over arrays of members.  It computes the scalar kernel's
+values, element by element, with a right-hand side compiled from the same
+expression source.  It differs from the scalar kernel only where numpy's
+``exp``, ``power`` and squares round differently from libm's: on the qi
+ensemble every member takes the same steps and its states agree to about
+1e-13 relative, but not to the bit.  Members that abort are run again
+alone by the scalar kernel; everything else (smaller groups, rk4
+members, :func:`integrate`) only ever runs the scalar kernel.
 
 A :class:`Trajectory` holds its samples as numpy float64 arrays.  The
 scalar kernel appends to lists, which each run converts once at its end;
 each batched member copies its rows out of its group's sample block, so
-no member keeps that block alive.  The lockstep kernel keeps the step
-arrays of its passes and evaluates their dense output every
-``_DENSE_PASSES`` passes, for all the kept steps at once, with the
-scalar kernel's weights and sums in their order.
+no member keeps that block alive.  A pass of the lockstep kernel costs
+numpy calls, not arithmetic, so it makes few of them and keeps their
+operands C-contiguous: each tableau sum is one ``np.add.reduce`` that
+adds its rows in the scalar order, the step control clamps with
+``np.fmin``/``np.fmax``, and the stages are computed into one table of
+kept steps.  Every ``_DENSE_PASSES`` passes, ``_dense`` gathers that
+table's columns with ``np.take`` and evaluates the dense output of all
+the kept steps at once, with the scalar kernel's weights and sums in
+their order.
 
 Everything here is deterministic: no randomness, fixed evaluation
 order.  Identical configurations produce bit-identical trajectories,
@@ -375,23 +379,34 @@ def _sample_times(cfg):
 # It is written out as straight-line code over scalar locals for one state
 # dimension, so a step costs six right-hand-side calls plus plain float
 # arithmetic.  Each quantity takes the float operations, in the order, of the
-# per-component formulation on the left, so trajectories are bit-identical to
-# a loop written that way:
+# per-component formulation on the left, less the terms that can change no
+# value (below), so trajectories are bit-identical to a loop written that way:
 #
 #   stage/update/error sums  sum(c[j] * K[j][i] for j)  ->  0.0 + c0 * k0_i + ...
-#     (sum() starts from the integer 0, which becomes 0.0 at the first float;
-#     zero tableau entries stay in, since 0.0 * k carries the sign of k)
+#     (sum() starts from the integer 0, which becomes 0.0 at the first float)
 #   error norm               err = 0.0; err += (e / sc) ** 2 per component
 #   dense output             acc = 0.0; acc += K[j][i] * w_j(theta) per stage,
 #                            w_j = p0 * th + p1 * th^2 + p2 * th^3 + p3 * th^4
 #   min(a, b), max(a, b)     b if b < a else a, b if b > a else a
+#
+# Terms with a zero coefficient are left out: the 0.0 * k products of the
+# tableau sums, the dense weight w1 (all four of its coefficients are zero)
+# with its k1 * w1 products, and the leading 0.0 * th of the other weights.
+# Each k is checked finite right after its stage, so 0.0 * k is a zero of
+# some sign.  A sum that starts at 0.0 is never -0.0 (in round-to-nearest,
+# x + y is -0.0 only when both are), and adding a zero of either sign to it
+# leaves it as it is.  A weight without its leading 0.0 * th (th is at
+# least +0.0, so that product is +0.0) can differ only in being -0.0 where
+# it was +0.0; its products then are zeros, which leave the dense sum as it
+# is too.
 #
 # A finiteness test is ``x0 * 0.0 + x1 * 0.0 + ... != 0.0``: each product is
 # a signed zero for a finite x and nan otherwise.
 
 
 def _combo(coeffs, terms):
-    return "0.0" + "".join(f" + {c!r} * {x}" for c, x in zip(coeffs, terms))
+    """``0.0 + c0 * x0 + ...`` without the terms whose coefficient is zero."""
+    return "0.0" + "".join(f" + {c!r} * {x}" for c, x in zip(coeffs, terms) if c)
 
 
 def _not_finite(names):
@@ -481,10 +496,9 @@ def _dopri_source(dim):
         "        th4 = th2 * th2",
     )
     powers = ("th", "th2", "th3", "th4")
-    put(4, *(f"w{j} = " + " + ".join(f"{c!r} * {p}" for c, p in zip(_P[j], powers)) for j in range(7)))
-    dense = [
-        f"{ys[i]} + h * (0.0{''.join(f' + {k[j][i]} * w{j}' for j in range(7))})" for i in idx
-    ]
+    weighted = [j for j in range(7) if any(_P[j])]
+    put(4, *(f"w{j} = " + " + ".join(f"{c!r} * {p}" for c, p in zip(_P[j], powers) if c) for j in weighted))
+    dense = [f"{ys[i]} + h * (0.0{''.join(f' + {k[j][i]} * w{j}' for j in weighted)})" for i in idx]
     put(
         4,
         "times_append(t1 if t1 < ts else ts)",
@@ -528,27 +542,39 @@ def _dopri_kernel(dim):
 #
 # The members of one group share t0, t1 and the sample grid; each keeps its
 # own t, h, facold, tolerances and step bounds, as arrays over the live
-# members, and its state as a (dim, members) array.  One pass of the loop
-# makes one accepted or rejected step for every live member, with the same
-# elementwise operations, in the same order, as the scalar kernel's (zero
-# tableau entries included).  The right-hand side comes from the same
-# emitted body as the scalar one, evaluated by numpy ufuncs.  Members leave
-# the arrays when they reach t1; a member that underflows its step size or
-# meets a non-finite derivative or state leaves them too, marked to be run
-# alone by the scalar kernel.
+# members, and its state as a C-contiguous (dim, members) array.  One pass
+# of the loop makes one accepted or rejected step for every live member,
+# with the scalar kernel's elementwise operations in its order.  Its
+# tableau sums keep the zero entries the scalar kernel drops: 0.0 * k of a
+# finite k changes no sum that starts at 0.0, and of a non-finite k it
+# makes the new state nan, which takes the member out of the batch.  Each
+# sum over the rows of a product array is one ``np.add.reduce`` that adds
+# the rows in order (_wsum), and each ``x if x > c else c`` of the step
+# control is one ``np.fmax`` (``np.fmin`` for ``<``), which also maps nan to
+# c.  The right-hand side comes from the same emitted body as the scalar
+# one, evaluated by numpy ufuncs.  Members leave the arrays when they reach
+# t1; a member that underflows its step size or meets a non-finite
+# derivative or state leaves them too, marked to be run alone by the
+# scalar kernel.
 #
-# Dense output runs every _DENSE_PASSES passes and at the end: _dense
-# evaluates the samples of all accepted steps since its last call at once,
-# with the scalar kernel's weights and sums in their order.  Each pass makes
-# its step arrays afresh, so they are kept by reference, not copied.
+# Each pass writes t, h, y and its seven stages into the next columns of
+# one table, which the stages are computed in.  Dense output runs every
+# _DENSE_PASSES passes and at the end: _dense gathers, with ``np.take``,
+# the table column of every (member, sample) pair's step into contiguous
+# rows and evaluates the samples of all accepted steps since its last call
+# at once, with the scalar kernel's weights and sums in their order.
 
-_BATCH_MIN = 24  # smallest group the lockstep kernel runs; see _batch
+_BATCH_MIN = 16  # smallest group the lockstep kernel runs; see _batch
 _DENSE_PASSES = 32  # passes kept between dense evaluations; bounds their memory
 
 
 def _wsum(products):
-    """``0.0 + products[0] + products[1] + ...``, summed as the scalar
-    kernel sums its tableau rows."""
+    """``0.0 + products[0] + products[1] + ...`` over the first axis,
+    summed as the scalar kernel sums its tableau rows.  ``np.add.reduce``
+    adds up to seven rows one after another: past that it may sum them
+    pairwise, so longer sums add their rows one at a time here."""
+    if len(products) <= 7:
+        return np.add.reduce(products, axis=0, initial=0.0)
     acc = 0.0
     for p in products:
         acc = acc + p
@@ -567,12 +593,13 @@ def _batch(f, mon, frame, mon_names, quad_names, cfgs):
     sample block, which is freed on return.
 
     ``f`` is the right-hand side from :func:`expr.compile_columns` and
-    ``mon`` the monitors from :func:`expr.compile_array`.  Below
-    ``_BATCH_MIN`` members the per-step numpy overhead costs more than the
-    scalar kernel's per-member loop: on qi members from t=0 to t=10, a
-    batch runs at 0.9 times the scalar speed with 16 members, 1.0 to 1.1
-    times with 20, 1.2 times with 24, 1.4 times with 32 and 4.5 to 5 times
-    with 256 (medians of five alternating runs, two CPU cores).
+    ``mon`` the monitors from :func:`expr.compile_array`.  Below about 14
+    members the per-step numpy overhead costs more than the scalar
+    kernel's per-member loop: on qi members from t=0 to t=10, a batch runs
+    at 0.65 times the scalar speed with 8 members, 0.9 times with 12, 1.1
+    to 1.2 times with 14 to 20, 1.5 times with 24, 1.6 times with 32 and
+    6.5 times with 256 (medians of five alternating runs, two CPU cores).
+    ``_BATCH_MIN`` is where a batch is about 1.2 times faster.
     """
     grid = _sample_times(cfgs[0])
     with np.errstate(all="ignore"):
@@ -619,8 +646,15 @@ def _lockstep(f, cfgs, grid, dim):
     rejected = np.zeros(m, dtype=np.intp)
     rerun = np.zeros(m, dtype=bool)
     A = [np.array(row)[:, None, None] for row in _A]
+    C = np.array(_C)[:, None]
     BE = np.array([_B5, _E]).T[:, :, None, None]  # (stage, update or error, 1, 1)
-    steps = []  # (pos, ok, t, h, tn, y, K) of the passes since the last _dense
+    # rows t, h, y, then the seven stages; one column per live member and
+    # pass, for the passes since the last _dense, whose (pos, ok, tn) are
+    # in steps
+    table = np.empty((2 + 8 * dim, _DENSE_PASSES * m))
+    stages = table[2 + dim :].reshape(7, dim, -1)
+    used = 0
+    steps = []
 
     pos = np.arange(m)  # block row of each live member
     rtol, atol, max_step = np.array(
@@ -642,17 +676,24 @@ def _lockstep(f, cfgs, grid, dim):
             pos, t, h, facold, rtol, atol, max_step = (
                 v[live] for v in (pos, t, h, facold, rtol, atol, max_step)
             )
-            y, k0 = y[:, live], k0[:, live]
+            # compress keeps the (dim, members) arrays C-contiguous, where
+            # y[:, live] would return them transposed
+            y, k0 = y.compress(live, axis=1), k0.compress(live, axis=1)
         if not pos.size:
-            _dense(block, grid, done, steps)
+            _dense(block, grid, done, steps, table[:, :used])
             return block, done, accepted, rejected, rerun
-        d = t1 - t
-        h = np.where(d < h, d, h)
+        # the scalar kernel's ``if d < h: h = d``
+        h = np.minimum(t1 - t, h)
         bad = h < MIN_STEP
-        K = np.empty((7,) + y.shape)
+        columns = slice(used, used + pos.size)
+        table[0, columns] = t
+        table[1, columns] = h
+        table[2 : 2 + dim, columns] = y
+        K = stages[:, :, columns]
         K[0] = k0
+        ts = t + C * h  # the time of each stage
         for s in range(1, 7):
-            _stage(f, K[s], y[:3] + h * _wsum(A[s] * K[:s, :3]), t + _C[s] * h)
+            _stage(f, K[s], y[:3] + h * _wsum(A[s] * K[:s, :3]), ts[s])
         update, e = h * _wsum(BE * K[:, None])
         yn = y + update
         # every stage enters this sum (0.0 * inf is nan), so a finite new
@@ -662,48 +703,45 @@ def _lockstep(f, cfgs, grid, dim):
         err = np.sqrt(_wsum(ratio2) / dim)
         ok = (err <= 1.0) & ~bad
         tn = t + h
-        if ok.any():
-            # none of these arrays is written in place after this pass
-            steps.append((pos, ok, t, h, tn, y, K))
-            if len(steps) == _DENSE_PASSES:
-                _dense(block, grid, done, steps)
-                steps = []
-        fac = np.where(err > 0, _SAFETY * err**-0.17 * facold**0.04, _FAC_MAX)
-        fac = np.where(fac > _FAC_MIN, fac, _FAC_MIN)
-        fac = np.where(fac < _FAC_MAX, fac, _FAC_MAX)
-        grown = h * fac
-        shrink = _SAFETY * err**-0.2
-        shrink = np.where(shrink > _FAC_MIN, shrink, _FAC_MIN)
-        h = np.where(ok, np.where(grown < max_step, grown, max_step), h * np.where(shrink < 1.0, shrink, 1.0))
-        facold = np.where(ok, np.where(1e-4 > err, 1e-4, err), facold)
+        # err = 0 makes fac infinite, which fmin takes to _FAC_MAX as the
+        # scalar kernel's err > 0 test does
+        fac = np.fmin(np.fmax(_SAFETY * err**-0.17 * facold**0.04, _FAC_MIN), _FAC_MAX)
+        shrink = np.fmin(np.fmax(_SAFETY * err**-0.2, _FAC_MIN), 1.0)
+        h = np.where(ok, np.fmin(h * fac, max_step), h * shrink)
+        facold = np.where(ok, np.fmax(err, 1e-4), facold)
         t = np.where(ok, tn, t)
         y = np.where(ok, yn, y)
         k0 = np.where(ok, K[6], k0)
         accepted[pos] += ok
         rejected[pos] += ~ok
+        if ok.any():
+            # the table keeps this pass's columns until the next _dense
+            used += pos.size
+            steps.append((pos, ok, tn))
+            if len(steps) == _DENSE_PASSES:
+                _dense(block, grid, done, steps, table[:, :used])
+                used = 0
+                steps = []
 
 
-def _dense(block, grid, done, steps):
-    """Dense output of the accepted steps among ``steps``, the
-    ``(pos, ok, t, h, tn, y, K)`` of consecutive passes, at every grid time
-    up to each step's new time ``tn``: all (member, sample) pairs at once.
-    ``done[j]`` counts the samples member ``j`` has and is advanced."""
+def _dense(block, grid, done, steps, table):
+    """Dense output of the accepted steps among ``steps``, the ``(pos, ok,
+    tn)`` of consecutive passes, at every grid time up to each step's new
+    time ``tn``: all (member, sample) pairs at once.  ``table`` holds the
+    t, h, y and stages of these passes' steps, one column each, in pass
+    order.  ``done[j]`` counts the samples member ``j`` has and is
+    advanced."""
     if not steps:
         return
-    dim = steps[0][5].shape[0]
-    pos, ok, tn = (np.concatenate(c) for c in zip(*[(s[0], s[1], s[4]) for s in steps]))
-    # one column per live member and pass: t, h, y, then K stage by stage
-    table = np.concatenate(
-        [np.concatenate((t[None], h[None], y, K.reshape(7 * dim, -1))) for _, _, t, h, _, y, K in steps],
-        axis=1,
-    )
+    dim = (len(table) - 2) // 8
+    pos, ok, tn = (np.concatenate(c) for c in zip(*steps))
     step = np.flatnonzero(ok)
     # by member, and within one member in pass order: each step's first
     # sample follows the last sample of the member's step before it
     step = step[np.argsort(pos[step], kind="stable")]
     who = pos[step]
     a = np.abs(tn[step])
-    stop = np.searchsorted(grid, tn[step] + 1e-14 * np.where(a > 1.0, a, 1.0), side="right")
+    stop = np.searchsorted(grid, tn[step] + 1e-14 * np.fmax(a, 1.0), side="right")
     first = np.ones(len(step), dtype=bool)
     first[1:] = who[1:] != who[:-1]
     start = np.where(first, done[who], np.concatenate(([0], stop[:-1])))
@@ -713,17 +751,24 @@ def _dense(block, grid, done, steps):
     if not count.any():
         return
     sample = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-    G = table[:, np.repeat(step, count)]  # (t, h, y, K) of each pair's step
+    # the column of each pair's step; take returns the rows C-contiguous,
+    # where table[:, idx] would return them transposed
+    G = np.take(table, np.repeat(step, count), axis=1)
     t, h, y, K = G[0], G[1], G[2 : 2 + dim], G[2 + dim :].reshape(7, dim, -1)
-    th = (grid[sample] - t) / h
-    th = np.where(th > 0.0, th, 0.0)
-    th = np.where(th < 1.0, th, 1.0)
+    th = np.fmin(np.fmax((grid[sample] - t) / h, 0.0), 1.0)
     th2 = th * th
     th3 = th2 * th
     th4 = th2 * th2
-    P = [np.array(c)[:, None] for c in zip(*_P)]  # coefficient of th^(i+1), per stage
-    w = P[0] * th + P[1] * th2 + P[2] * th3 + P[3] * th4  # (stage, pair)
-    block[np.repeat(who, count), 1 + sample] = (y + h * _wsum(K[j] * w[j] for j in range(7))).T
+    # the scalar kernel's weights: stage 1's is zero and stages 2-6 have no
+    # th term (see _dopri_source)
+    w0 = _P[0][0] * th + _P[0][1] * th2 + _P[0][2] * th3 + _P[0][3] * th4
+    p = np.array(_P[2:]).T[1:, :, None]  # (power, stage, 1)
+    w = p[0] * th2 + p[1] * th3 + p[2] * th4
+    # G is this call's own copy, so the products overwrite it; stage 0's
+    # go where stage 1's were, and K[1:] lists them in the scalar order
+    np.multiply(K[0], w0, out=K[1])
+    np.multiply(K[2:], w[:, None], out=K[2:])
+    block[np.repeat(who, count), 1 + sample] = (y + h * _wsum(K[1:])).T
 
 
 def convergence_order(X, t0, t1, y0, exact, steps):

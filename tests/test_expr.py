@@ -464,6 +464,38 @@ def test_compile_array_marks_domain_failures_non_finite():
         ex.compile_array([parse("u+v")], ("u",))
 
 
+def test_a_repeated_function_is_evaluated_once(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        return lambda x: calls.append(name) or fn(x)
+
+    field = [parse("v + v*w*exp(-t)"), parse("u - u*w*exp(-t)"), parse("u*v*exp(-t) + ln(exp(-t) + 2)")]
+    names = ("u", "v", "w", "t")
+    point = (0.3, -1.25, 2.0, 0.7)
+    want = [evaluate(e, dict(zip(names, point))) for e in field]
+    for env, compile_ in ((ex._SCALAR_ENV, ex.compile_vector), (ex._ARRAY_ENV, ex.compile_columns)):
+        monkeypatch.setitem(env, "_exp", counted("exp", env["_exp"]))
+        monkeypatch.setitem(env, "_ln", counted("ln", env["_ln"]))
+        calls.clear()
+        got = compile_(field, names)(*point)
+        assert calls == ["exp", "ln"]
+        assert [float(x) for x in got] == pytest.approx(want, rel=1e-15)
+    calls.clear()
+    assert ex.compile_fn(field[2], names)(*point) == pytest.approx(want[2], rel=1e-15)
+    assert calls == ["exp", "ln"]
+
+
+def test_shared_functions_keep_the_order_of_evaluation():
+    # the first failure in left-to-right order is raised, as without sharing
+    f = ex.compile_vector([parse("1/v"), parse("ln(u)"), parse("2*ln(u)")], ("u", "v"))
+    with pytest.raises(ZeroDivisionError):
+        f(-1.0, 0.0)
+    with pytest.raises(ValueError):
+        f(-1.0, 1.0)
+    assert f(math.e, 4.0) == (0.25, 1.0, 2.0)
+
+
 # --- substitution -----------------------------------------------------
 
 

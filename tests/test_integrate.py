@@ -610,6 +610,140 @@ def test_members_leave_a_batch_that_spans_many_dense_passes():
             _assert_close(traj, alone_traj, scales)
 
 
+# ---------------------------------------------------------------------------
+# building blocks of the lockstep kernel, against the scalar kernel's
+# formulas evaluated in Python floats.  Compared through float.hex, so that
+# the sign of a zero counts.
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _python_sum(products):
+    """The scalar kernel's ``0.0 + p0 + p1 + ...``, one element at a time."""
+    flat = [np.ravel(p).tolist() for p in products]
+    out = []
+    for column in zip(*flat):
+        acc = 0.0
+        for x in column:
+            acc = acc + x
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("rows", range(1, 10))
+@pytest.mark.parametrize("shape", [(3, 5), (3, 1), (5,), (1,)])
+def test_tableau_sums_add_their_rows_in_order(rows, shape):
+    # (rows, 3, 1) and (rows, 1) are the stage and error-norm sums of a
+    # batch down to one live member
+    rng = np.random.default_rng(rows * 10 + len(shape))
+    # summed in another order, 1e16 + 1.0 - 1e16 + ... comes out different
+    coeffs = np.array([1e16, 1.0, -1e16, 1.0, -0.0, 1.0, 0.0, 1.0, 1.0])[:rows]
+    k = rng.standard_normal((rows, *shape)) * 10.0 ** rng.integers(-8, 9, (rows, *shape))
+    k[:, 0] = 1.0
+    products = coeffs.reshape(rows, *[1] * len(shape)) * k
+    if shape[0] > 1:
+        products[:, 1] = -0.0  # the sum must come out +0.0
+    assert _hex(integrate_mod._wsum(products)) == _hex(_python_sum(products))
+
+
+def _scalar_dense(t, h, y, K, ts, pruned):
+    """The scalar kernel's dense output at ``ts`` for one step, in Python
+    floats: as _dopri_source emits it (``pruned``), or with every zero
+    term of the dense formula kept."""
+    th = (ts - t) / h
+    th = th if th > 0.0 else 0.0
+    th = th if th < 1.0 else 1.0
+    th2 = th * th
+    powers = (th, th2, th2 * th, th2 * th2)
+    out = []
+    for i in range(len(y)):
+        acc = 0.0
+        for j, coeffs in enumerate(integrate_mod._P):
+            terms = [c * p for c, p in zip(coeffs, powers) if c or not pruned]
+            if not terms:
+                continue
+            w = terms[0]
+            for x in terms[1:]:
+                w = w + x
+            acc = acc + K[j][i] * w
+        out.append(y[i] + h * acc)
+    return out
+
+
+def test_dense_output_equals_the_scalar_formula():
+    dim = 4
+    grid = np.array([0.1 * (k + 1) for k in range(10)])
+    rng = np.random.default_rng(5)
+
+    def step(t, h):
+        y = rng.standard_normal(dim)
+        K = rng.standard_normal((7, dim))
+        return t, h, y, K
+
+    # member 0 spans three passes; member 1 starts after its first sample
+    # time (th clamped to 0) and ends 5e-15 short of 0.4 (th clamped to 1);
+    # member 2 has signed zeros in y and K
+    signed = step(0.0, 0.35)
+    signed[2][:] = [-0.0, 0.0, -0.0, 1.5]
+    signed[3][:, 0] = -0.0
+    signed[3][2:, 1] = [0.0, -0.0, 0.0, -0.0, 0.0]
+    passes = [
+        {0: step(0.0, 0.15), 1: step(0.15, 0.25 - 5e-15), 2: signed},
+        {0: step(0.15, 0.1), 2: step(0.35, 0.3)},
+        {0: step(0.25, 0.75), 2: step(0.65, 0.35)},
+    ]
+    steps, columns = [], []
+    for members in passes:
+        pos = np.array(sorted(members))
+        t, h = (np.array([members[j][k] for j in pos]) for k in (0, 1))
+        steps.append((pos, np.ones(len(pos), dtype=bool), t + h))
+        for j in pos:
+            t_, h_, y, K = members[j]
+            columns.append(np.concatenate(([t_, h_], y, K.ravel())))
+    block = np.full((3, 1 + len(grid), dim), np.nan)
+    done = np.zeros(3, dtype=np.intp)
+    integrate_mod._dense(block, grid, done, steps, np.array(columns).T)
+    assert done.tolist() == [10, 4, 10]
+    for j in range(3):
+        emitted = 0
+        for members in passes:
+            if j not in members:
+                continue
+            t, h, y, K = members[j]
+            a = abs(t + h)
+            while emitted < len(grid) and grid[emitted] <= t + h + 1e-14 * max(a, 1.0):
+                ts = grid[emitted]
+                want = _scalar_dense(t, h, y, K, ts, pruned=True)
+                assert _hex(want) == _hex(_scalar_dense(t, h, y, K, ts, pruned=False))
+                assert _hex(block[j, 1 + emitted]) == _hex(want), (j, ts)
+                emitted += 1
+        assert emitted == done[j]
+        assert np.isnan(block[j, 1 + emitted :]).all() and np.isnan(block[j, 0]).all()
+    # the clamps and signed zeros were reached
+    assert (grid[0] - 0.15) / 0.25 < 0.0 and (grid[3] - 0.15) / (0.25 - 5e-15) > 1.0
+    assert math.copysign(1.0, block[2, 1, 0]) == 1.0
+
+
+def test_a_batch_narrowing_to_one_live_member(monkeypatch):
+    # the tightest member takes the most steps, so it is the last one live
+    d = cat.instantiate("qi", gamma=2)
+    X = d.bound_field()
+    cfgs = [
+        IntegratorConfig(t0=0.0, t1=2.0, y0=y0, rtol=10.0 ** -(6 + (k == 5) * 6), atol=1e-9)
+        for k, y0 in enumerate(_starts(10, BATCH))
+    ]
+    shapes = []
+    wsum = integrate_mod._wsum
+    monkeypatch.setattr(integrate_mod, "_wsum", lambda p: shapes.append(np.shape(p)) or wsum(p))
+    out = _batched(monkeypatch, X, cfgs)
+    assert (6, 3, 1) in shapes and (3, 1) in shapes
+    assert out[5].accepted > max(traj.accepted for k, traj in enumerate(out) if k != 5)
+    for traj, cfg in zip(out, cfgs):
+        _assert_close(traj, integrate(X, cfg), {})
+
+
 def test_trajectory_equality_compares_arrays_exactly():
     cfg = IntegratorConfig(t0=0.0, t1=1.0, y0=(1.0, 0.0, 0.0))
     huge = {"huge": ScalarField(parse("1e300*u^2"), UVW)}
