@@ -275,6 +275,14 @@ def test_bracket_domain_error_at_a_point_is_an_evaluation_failure(capsys):
     assert err.startswith("evaluation failed:")
 
 
+def test_bracket_division_by_zero_at_a_point_keeps_its_message(capsys):
+    code, out, err = run(
+        ["bracket", "--j", "0;0;1", "--f", "1/u", "--h", "v", "--at", "u=0,v=1"], capsys
+    )
+    assert code == 1 and out.count("\n") == 1
+    assert err == "evaluation failed: division by zero\n"
+
+
 @pytest.mark.parametrize(
     "f", ["(" * 3000 + "u" + ")" * 3000, "-" * 5000 + "u"], ids=["parentheses", "unary-minus"]
 )
