@@ -11,13 +11,14 @@ basis element j gives a row r_j, and the candidates span the nullspace
 
 The search is exact first.  When every term of every expanded row is a
 rational multiple of a monomial (integer powers of the frame and time
-variables) times at most one exp of a sum of monomials without constant
-term, distinct terms are linearly independent functions, so sum_j c_j r_j
-vanishes exactly when, term by term, the coefficients cancel.  Those
-term equations are solved over the rationals by sparse Gauss-Jordan
-elimination (Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
-1992, ch. 2-3).  Rows with any other term (a quotient, ln, sin, cos or
-a parameter) fall back to sampling: the functional is evaluated at
+variables, negative ones included, so ``v/u`` is one) times at most one
+exp of a sum of monomials without constant term, distinct terms are
+linearly independent functions, so sum_j c_j r_j vanishes exactly when,
+term by term, the coefficients cancel.  Those term equations are solved
+over the rationals by sparse Gauss-Jordan elimination (Geddes, Czapor &
+Labahn, Algorithms for Computer Algebra, 1992, ch. 2-3).  Rows with any
+other term (a negative power of a sum such as ``1/(1+u)``, ln, sin, cos
+or a parameter) fall back to sampling: the functional is evaluated at
 seeded points and the nullspace is taken from an SVD with a relative
 singular-value threshold, then validated at fresh points.
 

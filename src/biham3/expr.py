@@ -19,15 +19,21 @@ any other identifier is a named parameter (``alpha``, ``lambda``, ...).
 Numeric literals are stored as exact rationals (``0.5`` becomes 1/2),
 so differentiation and like-term collection never drift.
 
+Division is a negative power: ``a/b`` is ``a*b^(-1)``, and the printer
+writes negative powers back below a ``/``.
+
 Every constructor normalizes its result: constant folding, 0/1
 identities, flattening of nested sums/products, collection of identical
-terms with rational coefficients, and ``exp(a)*exp(b) -> exp(a+b)``.
-Trees built through this module are therefore always in canonical form,
+terms with rational coefficients, summing the integer exponents of equal
+bases (so ``u*(1/u)`` is 1), and ``exp(a)*exp(b) -> exp(a+b)``.  Trees
+built through this module are therefore always in normal form,
 ``simplify`` re-normalizes defensively, and any expression that cancels
 under those rules is the literal zero constant.  ``expand`` additionally
-distributes products and integer powers over sums.  It is idempotent,
-and it marks each of its results, so expanding an expanded tree again
-returns it at once.
+distributes products and positive integer powers over sums.  It is
+idempotent, and it marks each of its results, so expanding an expanded
+tree again returns it at once.  Sums over different denominators are
+not brought to a common one, so ``1/(1+u) + 1/(1-u) - 2/(1-u^2)`` does
+not expand to zero.
 
 Expressions are immutable; evaluation, differentiation and substitution
 are reentrant.
@@ -284,24 +290,6 @@ class Cos(_Func):
     rank = 7
 
 
-class Quot(Expr):
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        super().__init__()
-        self.num = num
-        self.den = den
-
-    def _payload(self):
-        return (self.num, self.den)
-
-    def _make_key(self):
-        return (8, self.num.key(), self.den.key())
-
-    def children(self):
-        return (self.num, self.den)
-
-
 class Mul(Expr):
     """Canonical product: flattened, single leading rational coefficient,
     at most one exp factor, remaining factors sorted."""
@@ -464,10 +452,7 @@ def mul(*xs):
         elif isinstance(f, Exp):
             exp_args.append(f.arg)
         elif isinstance(f, Pow):
-            if isinstance(f.base, Exp):
-                exp_args.append(mul(con(f.exponent), f.base.arg))
-            else:
-                bump(f.base, f.exponent)
+            bump(f.base, f.exponent)
         else:
             bump(f, 1)
 
@@ -534,10 +519,6 @@ def pow_(b, n):
         return mul(*[pow_(f, n) for f in b.factors])
     if isinstance(b, Exp):
         return exp_(mul(con(n), b.arg))
-    if isinstance(b, Quot):
-        if n > 0:
-            return quot(pow_(b.num, n), pow_(b.den, n))
-        return quot(pow_(b.den, -n), pow_(b.num, -n))
     return Pow(b, n)
 
 
@@ -548,15 +529,7 @@ def quot(a, b):
         if b.value == 0:
             raise DomainError("division by the zero constant")
         return mul(Const(1 / b.value), a)
-    if a == ZERO:
-        return ZERO
-    if a == b:
-        return ONE
-    if isinstance(a, Quot):
-        return quot(a.num, mul(a.den, b))
-    if isinstance(b, Quot):
-        return quot(mul(a, b.den), b.num)
-    return Quot(a, b)
+    return mul(a, pow_(b, -1))
 
 
 def neg(x):
@@ -626,10 +599,6 @@ def differentiate(e, name):
         return mul(
             con(e.exponent), pow_(e.base, e.exponent - 1), differentiate(e.base, name)
         )
-    if isinstance(e, Quot):
-        da = differentiate(e.num, name)
-        db = differentiate(e.den, name)
-        return quot(sub(mul(da, e.den), mul(e.num, db)), pow_(e.den, 2))
     if isinstance(e, Exp):
         return mul(e, differentiate(e.arg, name))
     if isinstance(e, Ln):
@@ -665,8 +634,6 @@ def substitute(e, mapping):
             return mul(*[walk(f) for f in n.factors])
         if isinstance(n, Pow):
             return pow_(walk(n.base), n.exponent)
-        if isinstance(n, Quot):
-            return quot(walk(n.num), walk(n.den))
         if isinstance(n, _Func):
             return _FUNC_BUILDERS[n.fname](walk(n.arg))
         raise ExprError(f"cannot substitute into node {type(n).__name__}")
@@ -687,8 +654,6 @@ def simplify(e):
         return mul(*[simplify(f) for f in e.factors])
     if isinstance(e, Pow):
         return pow_(simplify(e.base), e.exponent)
-    if isinstance(e, Quot):
-        return quot(simplify(e.num), simplify(e.den))
     if isinstance(e, _Func):
         return _FUNC_BUILDERS[e.fname](simplify(e.arg))
     raise ExprError(f"cannot simplify node {type(e).__name__}")
@@ -711,29 +676,10 @@ def _mulx(a, b):
     return mul(a, b)
 
 
-def _fresh_quotient(t):
-    """Whether a product term holds a quotient that ``mul`` built by
-    raising a repeated quotient factor to a power, with its parts not
-    expanded."""
-    for f in t.factors if isinstance(t, Mul) else (t,):
-        if isinstance(f, Quot) and not f._expanded:
-            return True
-    return False
-
-
-def _product(factors):
-    """Expanded product of expanded factors."""
-    out = functools.reduce(_mulx, factors)
-    terms = out.terms if isinstance(out, Add) else (out,)
-    if any(map(_fresh_quotient, terms)):
-        out = add(*[expand(t) if _fresh_quotient(t) else t for t in terms])
-    return out
-
-
 def expand(e):
     """Distribute products and positive integer powers over sums, then
-    normalize.  A quotient stays one: its numerator and denominator are
-    expanded apart.
+    normalize.  A negative power of a sum stays a power of its expanded
+    sum, so ``(u/(1+v))^2`` expands to ``u^2/(1 + v)^2``.
 
     Idempotent: the result is marked as expanded, and a marked tree is
     returned as it is.  Raises LimitError, before multiplying, when a
@@ -748,15 +694,15 @@ def expand(e):
 
 
 def _expand(e):
-    """Expand the children, then rebuild.  A power or quotient whose
-    parts changed is expanded again, because ``pow_`` and ``quot`` form
-    new, unexpanded products and powers of the expanded parts."""
+    """Expand the children, then rebuild.  A power whose base changed is
+    expanded again, because ``pow_`` of an expanded product can form a
+    new, unexpanded product."""
     if isinstance(e, (Const, Var, Param)):
         return e
     if isinstance(e, Add):
         return add(*[expand(t) for t in e.terms])
     if isinstance(e, Mul):
-        return _product([expand(f) for f in e.factors])
+        return functools.reduce(_mulx, [expand(f) for f in e.factors])
     if isinstance(e, Pow):
         base = expand(e.base)
         n = e.exponent
@@ -765,15 +711,10 @@ def _expand(e):
             # most comb(m+n-2, n-1) terms, one per monomial of its degree
             m = len(base.terms)
             _check_terms(m * math.comb(m + n - 2, n - 1))
-            return _product([base] * n)
+            return functools.reduce(_mulx, [base] * n)
         if base is e.base:
             return e
         return expand(pow_(base, n))
-    if isinstance(e, Quot):
-        num, den = expand(e.num), expand(e.den)
-        if num is e.num and den is e.den:
-            return e
-        return expand(quot(num, den))
     if isinstance(e, _Func):
         return _FUNC_BUILDERS[e.fname](expand(e.arg))
     raise ExprError(f"cannot expand node {type(e).__name__}")
@@ -805,15 +746,12 @@ def evaluate(e, bindings):
         return out
     if isinstance(e, Pow):
         b = evaluate(e.base, bindings)
+        if b == 0.0 and e.exponent < 0:
+            raise DomainError("division by zero")
         try:
             return b**e.exponent
-        except (ZeroDivisionError, OverflowError) as err:
+        except OverflowError as err:
             raise DomainError(str(err)) from None
-    if isinstance(e, Quot):
-        den = evaluate(e.den, bindings)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return evaluate(e.num, bindings) / den
     if isinstance(e, Exp):
         try:
             return math.exp(evaluate(e.arg, bindings))
@@ -844,8 +782,6 @@ def _emit(e, names, shared, bound):
         return "(" + "*".join(_emit(f, names, shared, bound) for f in e.factors) + ")"
     if isinstance(e, Pow):
         return f"({_emit(e.base, names, shared, bound)}**{e.exponent})"
-    if isinstance(e, Quot):
-        return f"({_emit(e.num, names, shared, bound)}/{_emit(e.den, names, shared, bound)})"
     if isinstance(e, _Func):
         name = shared.get(e)
         if name in bound:
@@ -960,7 +896,7 @@ _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 def _prec(e):
     if isinstance(e, Add):
         return _PREC_ADD
-    if isinstance(e, (Mul, Quot)):
+    if isinstance(e, Mul) or (isinstance(e, Pow) and e.exponent < 0):
         return _PREC_MUL
     if isinstance(e, Pow):
         return _PREC_POW
@@ -989,27 +925,28 @@ def _render_raw(e):
         return e.name
     if isinstance(e, _Func):
         return f"{e.fname}({_render_raw(e.arg)})"
-    if isinstance(e, Pow):
-        b = _render(e.base, _PREC_ATOM)
-        if e.exponent < 0:
-            return f"{b}^({e.exponent})"
-        return f"{b}^{e.exponent}"
-    if isinstance(e, Quot):
-        return f"{_render(e.num, _PREC_MUL)}/{_render(e.den, _PREC_POW)}"
-    if isinstance(e, Mul):
+    if isinstance(e, Pow) and e.exponent > 0:
+        return f"{_render(e.base, _PREC_ATOM)}^{e.exponent}"
+    if isinstance(e, (Mul, Pow)):
+        # negative powers, with the coefficient's denominator, go below a /
         c, rest = _split_coeff(e)
-        sign = ""
-        if c < 0:
-            sign = "-"
-            c = -c
-        parts = []
-        if c != 1:
-            parts.append(_render(Const(c), _PREC_MUL))
-        if isinstance(rest, Mul):
-            parts.extend(_render(f, _PREC_POW) for f in rest.factors)
-        else:
-            parts.append(_render(rest, _PREC_POW))
-        return sign + "*".join(parts)
+        sign = "-" if c < 0 else ""
+        c = abs(c)
+        num, den = [], []
+        for f in rest.factors if isinstance(rest, Mul) else (rest,):
+            if isinstance(f, Pow) and f.exponent < 0:
+                den.append(pow_(f.base, -f.exponent))
+            else:
+                num.append(f)
+        if den and c.denominator != 1:
+            den.insert(0, Const(c.denominator))
+            c = Fraction(c.numerator)
+        parts = [_render(Const(c), _PREC_MUL)] if c != 1 else []
+        parts.extend(_render(f, _PREC_POW) for f in num)
+        out = sign + ("*".join(parts) or "1")
+        if len(den) > 1:
+            return f"{out}/({'*'.join(_render(f, _PREC_POW) for f in den)})"
+        return f"{out}/{_render(den[0], _PREC_POW)}" if den else out
     if isinstance(e, Add):
         out = _render(e.terms[0], _PREC_ADD)
         for t in e.terms[1:]:

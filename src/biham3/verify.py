@@ -3,7 +3,7 @@ and reports residual statistics, the orientation sign, and the deltas
 between derived and published formulas.
 
 Each verdict is decided exactly first: residuals are kept in the
-canonical normal form of :mod:`biham3.expr`, and one that expands to the
+normal form of :mod:`biham3.expr`, and one that expands to the
 literal zero is an identity, reported ``exact`` with no point drawn.
 Only what the normal form cannot decide is sampled, at seeded points
 drawn at most once per run (Schwartz 1980, Zippel 1979), with the worst

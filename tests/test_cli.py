@@ -275,6 +275,11 @@ def test_bracket_domain_error_at_a_point_is_an_evaluation_failure(capsys):
     assert err.startswith("evaluation failed:")
 
 
+def test_bracket_cancels_a_symbol_against_its_reciprocal(capsys):
+    code, out, _ = run(["bracket", "--j", "0;0;1", "--f", "u*ln(u)", "--h", "v"], capsys)
+    assert code == 0 and out == "-1 - ln(u)\n"
+
+
 def test_bracket_division_by_zero_at_a_point_keeps_its_message(capsys):
     code, out, err = run(
         ["bracket", "--j", "0;0;1", "--f", "1/u", "--h", "v", "--at", "u=0,v=1"], capsys

@@ -289,6 +289,19 @@ def test_quotients_and_logarithms_take_the_sampled_route():
     assert [str(c.expr) for c in res.candidates] == ["1", "u^2 + v^2"]
 
 
+@pytest.mark.parametrize(
+    "den,method,integral",
+    [("u", "exact", "u^2 + v^2"), ("1+u", "sampled", "u^2 + v^2 + 2*u")],
+    ids=["laurent-monomial", "power-of-a-sum"],
+)
+def test_a_negative_power_of_a_variable_is_exact_and_of_a_sum_is_sampled(den, method, integral):
+    # v/u is v*u^(-1), a monomial with an integer power; v/(1+u) is not
+    X = VectorField3.from_exprs([parse(f"v/({den})"), parse("-1"), parse("0")], UVW)
+    res = first_integral_search(X, build_basis(2, UVW))
+    assert res.method == method
+    assert [str(c.expr) for c in res.candidates] == ["1", "w", "w^2", integral]
+
+
 def test_annotation_outside_the_basis_is_fitted_by_sampling():
     d = cat.instantiate("lu-transformed")
     res = first_integral_search(d.bound_field(), build_basis(2, UVW))

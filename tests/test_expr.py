@@ -218,18 +218,59 @@ def _unmarked(e):
         return ex.Mul(tuple(map(_unmarked, e.factors)))
     if isinstance(e, ex.Pow):
         return ex.Pow(_unmarked(e.base), e.exponent)
-    if isinstance(e, ex.Quot):
-        return ex.Quot(_unmarked(e.num), _unmarked(e.den))
     return type(e)(_unmarked(e.arg))
 
 
 def test_expand_expands_powers_of_quotients_and_exponentials():
-    assert expand(parse("((u+v)/(w+1))^2")) == parse("(u^2 + 2*u*v + v^2)/(1 + 2*w + w^2)")
+    # a denominator stays a power of its expanded base
+    assert expand(parse("((u+v)/(w+1))^2")) == parse(
+        "u^2/(1 + w)^2 + 2*u*v/(1 + w)^2 + v^2/(1 + w)^2"
+    )
+    assert expand(parse("(u/(1+v))^2")) == parse("u^2*(1 + v)^(-2)")
     assert expand(parse("(exp(u+v)/w)^2")) == parse("exp(2*u + 2*v)/w^2")
     q = parse("u/(v+1)")
-    assert expand(ex.mul(ex.add(q, 1), ex.add(q, 2))) == parse(
-        "2 + 3*(u/(1 + v)) + u^2/(1 + 2*v + v^2)"
-    )
+    assert expand(ex.mul(ex.add(q, 1), ex.add(q, 2))) == parse("2 + 3*u/(1 + v) + u^2/(1 + v)^2")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/u - u^(-1)",
+        "u*(1/u) - 1",
+        "(1+u^2)*(1/(1+u^2)) - 1",
+        "1/u + 1/v - (u+v)/(u*v)",
+        "1/exp(t) - exp(-t)",
+    ],
+)
+def test_quotients_cancel_as_negative_powers(text):
+    assert expand(parse(text)) == ex.ZERO
+
+
+def test_products_of_quotients_are_associative():
+    q = parse("1/(u+1)")
+    assert ex.mul(ex.mul(q, q), q) == ex.mul(q, q, q) == parse("(1+u)^(-3)")
+
+
+def test_sums_over_different_denominators_are_not_combined():
+    # 2/(1-u^2) is 1/(1+u) + 1/(1-u), but only over a common denominator
+    assert expand(parse("1/(1+u) + 1/(1-u) - 2/(1-u^2)")) != ex.ZERO
+    assert equal_numeric(parse("1/(1+u) + 1/(1-u)"), parse("2/(1-u^2)"), {"u": (-0.5, 0.5)})
+
+
+@pytest.mark.parametrize(
+    "text,printed",
+    [
+        ("1/u", "1/u"),
+        ("-u^(-1)", "-1/u"),
+        ("3/2*v/u", "3*v/(2*u)"),
+        ("u/(v*w^2)/3", "u/(3*v*w^2)"),
+        ("w/(1+v)^3", "w/(1 + v)^3"),
+        ("1/2*u^2", "1/2*u^2"),
+    ],
+)
+def test_negative_powers_print_below_a_slash(text, printed):
+    e = parse(text)
+    assert to_text(e) == printed and parse(printed) == e
 
 
 def test_expand_is_idempotent_on_random_corpus():
@@ -422,8 +463,9 @@ def test_evaluate_errors():
         evaluate(parse("u+v"), {"u": 1})
     with pytest.raises(DomainError):
         evaluate(parse("ln(u)"), {"u": -1.0})
-    with pytest.raises(DomainError):
-        evaluate(parse("1/u"), {"u": 0.0})
+    for text in ("1/u", "v/u^2"):
+        with pytest.raises(DomainError, match="^division by zero$"):
+            evaluate(parse(text), {"u": 0.0, "v": 1.0})
     with pytest.raises(DomainError):
         parse("ln(-1)")
     with pytest.raises(DomainError):
