@@ -13,6 +13,7 @@ sampling seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -234,7 +235,6 @@ def build_parser():
         description="bi-Hamiltonian and Nambu structure toolkit for 3D flows",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     c = sub.add_parser("catalog", help="list built-in systems")
     c.add_argument("--json", action="store_true")
@@ -244,7 +244,7 @@ def build_parser():
     v.add_argument("system", help="built-in name or system file path")
     v.add_argument("--param", action="append", metavar="NAME=VALUE")
     v.add_argument("--samples", type=int, default=1000)
-    v.add_argument("--seed", type=int, default=seed)
+    v.add_argument("--seed", type=int, default=None, help="default: BIHAM3_SEED or 42")
     v.add_argument("--tol", type=float, default=1e-12)
     v.add_argument("--out", metavar="REPORT.json")
     v.add_argument("--deterministic", action="store_true", help="omit the timestamp")
@@ -278,7 +278,7 @@ def build_parser():
         help="total dF/dt, spatial grad(F).X, or div(M X)",
     )
     d.add_argument("--samples", type=int, default=None)
-    d.add_argument("--seed", type=int, default=seed)
+    d.add_argument("--seed", type=int, default=None, help="default: BIHAM3_SEED or 42")
     d.add_argument("--out", metavar="DISC.json")
     d.set_defaults(func=_cmd_discover)
 
@@ -291,9 +291,17 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    # built once: parse_args leaves the parser as it was
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    seed = _default_seed()  # read on every call, so the environment can change between calls
+    args = _parser().parse_args(argv)
+    if getattr(args, "seed", None) is None:
+        args.seed = seed
     try:
         return args.func(args)
     except _Usage as err:

@@ -294,7 +294,7 @@ def _exact_nullspace(rows, names):
             piv = pivots.get(col)
             if piv is None:
                 top = eq[col]
-                pivots[col] = {j: c / top for j, c in eq.items()}
+                pivots[col] = {j: Fraction(c, top) for j, c in eq.items()}
                 break
             f = eq[col]
             for j, c in piv.items():

@@ -17,7 +17,12 @@ constants, and the only recognized functions are ``exp``, ``ln``,
 any other identifier is a named parameter (``alpha``, ``lambda``, ...).
 
 Numeric literals are stored as exact rationals (``0.5`` becomes 1/2),
-so differentiation and like-term collection never drift.
+so differentiation and like-term collection never drift.  A constant
+with an integral value is held as a Python ``int`` and any other as a
+``Fraction``; the two compare and hash equal, so either gives the same
+term keys, ordering and text, and integer arithmetic stays cheap.  Every
+division of constants goes through ``Fraction``, since ``int / int`` is
+a float.
 
 Division is a negative power: ``a/b`` is ``a*b^(-1)``, and the printer
 writes negative powers back below a ``/``.
@@ -29,7 +34,8 @@ bases (so ``u*(1/u)`` is 1), and ``exp(a)*exp(b) -> exp(a+b)``.  Trees
 built through this module are therefore always in normal form,
 ``simplify`` re-normalizes defensively, and any expression that cancels
 under those rules is the literal zero constant.  ``expand`` additionally
-distributes products and positive integer powers over sums.  It is
+distributes products and positive integer powers over sums (a power of
+a sum by the multinomial theorem).  It is
 idempotent, and it marks each of its results, so expanding an expanded
 tree again returns it at once.  Sums over different denominators are
 not brought to a common one, so ``1/(1+u) + 1/(1-u) - 2/(1-u^2)`` does
@@ -53,7 +59,7 @@ VARIABLES = ("t", "u", "v", "w", "x", "y", "z")
 FUNCTIONS = ("exp", "ln", "sin", "cos")
 MAX_NESTING = 100  # parser limit on nested parentheses, unary minus and ^
 MAX_EXPONENT = 1000  # largest |n| of an integer power; constant powers also cap their size
-MAX_TERMS = 10_000  # most term products one multiplication inside expand may form
+MAX_TERMS = 10_000  # most term products one multiplication or power inside expand may form
 
 
 class ExprError(Exception):
@@ -183,7 +189,11 @@ class Const(Expr):
 
     def __init__(self, value):
         super().__init__()
-        self.value = value if isinstance(value, Fraction) else Fraction(value)
+        if type(value) is not int:
+            value = value if isinstance(value, Fraction) else Fraction(value)
+            if value.denominator == 1:
+                value = int(value.numerator)
+        self.value = value
 
     def _payload(self):
         return (self.value,)
@@ -340,7 +350,7 @@ def con(x):
         return x
     if isinstance(x, float):
         return Const(Fraction(repr(x)))
-    return Const(Fraction(x))
+    return Const(x)
 
 
 def var(name):
@@ -372,7 +382,7 @@ def _split_coeff(t):
         if len(rest) == 1:
             return t.factors[0].value, rest[0]
         return t.factors[0].value, Mul(rest)
-    return Fraction(1), t
+    return 1, t
 
 
 def _with_coeff(c, rest):
@@ -388,7 +398,7 @@ def _with_coeff(c, rest):
 def add(*xs):
     buckets = {}
     order = []
-    const = Fraction(0)
+    const = 0
 
     def acc(t):
         nonlocal const
@@ -429,7 +439,7 @@ def add(*xs):
 
 
 def mul(*xs):
-    coeff = Fraction(1)
+    coeff = 1
     exp_args = []
     bases = {}
     order = []
@@ -510,7 +520,7 @@ def pow_(b, n):
         bits = max(b.value.numerator.bit_length(), b.value.denominator.bit_length())
         if bits * abs(n) > MAX_EXPONENT**2:
             raise LimitError(f"constant power with exponent {n} exceeds {MAX_EXPONENT**2} bits")
-        return Const(b.value**n)
+        return Const(Fraction(b.value) ** n)
     if n == 0:
         return ONE
     if isinstance(b, Pow):
@@ -528,7 +538,7 @@ def quot(a, b):
     if isinstance(b, Const):
         if b.value == 0:
             raise DomainError("division by the zero constant")
-        return mul(Const(1 / b.value), a)
+        return mul(Const(Fraction(1, b.value)), a)
     return mul(a, pow_(b, -1))
 
 
@@ -681,10 +691,13 @@ def expand(e):
     normalize.  A negative power of a sum stays a power of its expanded
     sum, so ``(u/(1+v))^2`` expands to ``u^2/(1 + v)^2``.
 
+    A power of a sum is expanded by the multinomial theorem, one product
+    of powers of its terms per composition of the exponent.
+
     Idempotent: the result is marked as expanded, and a marked tree is
     returned as it is.  Raises LimitError, before multiplying, when a
-    product of sums, or a power of a sum, would form more than MAX_TERMS
-    term products in one multiplication.
+    product of two sums would form more than MAX_TERMS term products, or
+    a power of a sum would have more than MAX_TERMS compositions.
     """
     if e._expanded:
         return e
@@ -693,30 +706,62 @@ def expand(e):
     return out
 
 
+def _compositions(n, m):
+    """Every tuple of m non-negative integers that sum to n."""
+    if m == 1:
+        yield (n,)
+        return
+    for k in range(n, -1, -1):
+        for rest in _compositions(n - k, m - 1):
+            yield (k,) + rest
+
+
+def _power_of_sum(terms, n):
+    """``(t_1 + ... + t_m)^n`` by the multinomial theorem: one product per
+    composition k of n over the m terms, with coefficient
+    n!/(k_1!*...*k_m!).  Each product is expanded, because ``pow_`` of a
+    term can form an unexpanded one (``exp(2*(a + b))``)."""
+    _check_terms(math.comb(n + len(terms) - 1, len(terms) - 1))
+    powers = [[pow_(t, k) for k in range(n + 1)] for t in terms]
+    fact = [math.factorial(k) for k in range(n + 1)]
+    products = []
+    for ks in _compositions(n, len(terms)):
+        coeff = fact[n] // math.prod(fact[k] for k in ks)
+        products.append(expand(mul(coeff, *[p[k] for p, k in zip(powers, ks)])))
+    return add(*products)
+
+
 def _expand(e):
-    """Expand the children, then rebuild.  A power whose base changed is
-    expanded again, because ``pow_`` of an expanded product can form a
-    new, unexpanded product."""
+    """Expand the children, then rebuild.  A node whose children come back
+    as the same objects is returned as it is (unless it is a product with
+    a sum to distribute), because rebuilding it would give an equal tree.
+    A power whose base changed is expanded again, because ``pow_`` of an
+    expanded product can form a new, unexpanded product."""
     if isinstance(e, (Const, Var, Param)):
         return e
     if isinstance(e, Add):
-        return add(*[expand(t) for t in e.terms])
+        terms = [expand(t) for t in e.terms]
+        if all(a is b for a, b in zip(terms, e.terms)):
+            return e
+        return add(*terms)
     if isinstance(e, Mul):
-        return functools.reduce(_mulx, [expand(f) for f in e.factors])
+        factors = [expand(f) for f in e.factors]
+        if not any(isinstance(f, Add) for f in factors) and all(
+            a is b for a, b in zip(factors, e.factors)
+        ):
+            return e
+        return functools.reduce(_mulx, factors)
     if isinstance(e, Pow):
         base = expand(e.base)
         n = e.exponent
         if isinstance(base, Add) and n > 1:
-            # the last and largest product of the loop: base^(n-1) has at
-            # most comb(m+n-2, n-1) terms, one per monomial of its degree
-            m = len(base.terms)
-            _check_terms(m * math.comb(m + n - 2, n - 1))
-            return functools.reduce(_mulx, [base] * n)
+            return _power_of_sum(base.terms, n)
         if base is e.base:
             return e
         return expand(pow_(base, n))
     if isinstance(e, _Func):
-        return _FUNC_BUILDERS[e.fname](expand(e.arg))
+        arg = expand(e.arg)
+        return e if arg is e.arg else _FUNC_BUILDERS[e.fname](arg)
     raise ExprError(f"cannot expand node {type(e).__name__}")
 
 
@@ -940,7 +985,7 @@ def _render_raw(e):
                 num.append(f)
         if den and c.denominator != 1:
             den.insert(0, Const(c.denominator))
-            c = Fraction(c.numerator)
+            c = c.numerator
         parts = [_render(Const(c), _PREC_MUL)] if c != 1 else []
         parts.extend(_render(f, _PREC_POW) for f in num)
         out = sign + ("*".join(parts) or "1")

@@ -378,6 +378,30 @@ def test_seed_env_override(tmp_path):
     assert json.loads(out.read_text())["seed"] == 7
 
 
+def test_seed_env_is_read_on_every_call(tmp_path, monkeypatch):
+    seeds = []
+    for env in ("7", "11"):
+        monkeypatch.setenv("BIHAM3_SEED", env)
+        out = tmp_path / f"rep-{env}.json"
+        code = main(["verify", "qi", "--deterministic", "--samples", "100", "--out", str(out)])
+        assert code == 0
+        seeds.append(json.loads(out.read_text())["seed"])
+    monkeypatch.delenv("BIHAM3_SEED")
+    assert main(["verify", "qi", "--deterministic", "--out", str(out)]) == 0
+    seeds.append(json.loads(out.read_text())["seed"])
+    assert main(["verify", "qi", "--seed", "3", "--deterministic", "--out", str(out)]) == 0
+    seeds.append(json.loads(out.read_text())["seed"])
+    assert seeds == [7, 11, 42, 3]
+
+
+def test_bad_seed_env_message(monkeypatch):
+    monkeypatch.setenv("BIHAM3_SEED", "x")
+    for argv in (["catalog"], ["verify", "qi"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert str(err.value) == "BIHAM3_SEED must be an integer, got 'x'"
+
+
 def test_readme_examples_run_verbatim(capsys):
     """Every '$ python -m biham3 ...' line in the README must exit 0."""
     lines = README.read_text().splitlines()

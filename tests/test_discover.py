@@ -7,6 +7,8 @@ above 1 - 1e-8.  The sampled search is the exact one's independent
 oracle.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from biham3.expr import parse
 from biham3.discover import (
     DiscoveryError,
     _derivative_rows,
+    _exact_nullspace,
     _multiplier_rows,
     _sampled_search,
     annotate,
@@ -28,6 +31,16 @@ from biham3.discover import (
 from biham3.vecfield import ScalarField, VectorField3, divergence, scale
 
 UVW = ("u", "v", "w")
+
+
+def test_exact_nullspace_divides_exactly():
+    # 3a + 2b = 0 pivots on the 2 at column 1: b = -3/2 a
+    vectors, equations = _exact_nullspace([parse("3*u"), parse("2*u")], UVW)
+    assert (vectors, equations) == ([[1, Fraction(-3, 2)]], 1)
+    assert all(type(c) is Fraction for c in vectors[0])
+    vectors, _ = _exact_nullspace([parse("2*u + 4*v"), parse("3*u"), parse("6*v")], UVW)
+    assert all(type(c) is Fraction for v in vectors for c in v)
+    assert vectors == [[1, Fraction(-2, 3), Fraction(-2, 3)]]
 
 
 def test_basis_counts():

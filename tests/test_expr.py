@@ -6,6 +6,7 @@ stencil, h=1e-6); 1e-12 for sampling-based equalities of exact
 identities.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -321,6 +322,61 @@ def test_expand_caps_the_terms_it_forms():
     with pytest.raises(ex.LimitError, match="10100 term products"):
         expand(ex.mul(a, b))
     assert len(expand(ex.mul(a, b.terms[0], ex.add(*b.terms[:99]))).terms) == 101 * 99
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "u + exp(t) - 2*alpha*v",
+        "1/u + v*exp(-t) + 3",
+        "(1+v)^(-1) + u*w + beta",
+        "exp(u+v) + exp(-u) + 1/2",
+        "u + 1/u",
+    ],
+)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_multinomial_powers_equal_repeated_products(text, n):
+    base = expand(parse(text))
+    x = expand(ex.pow_(base, n))
+    assert x == functools.reduce(ex._mulx, [base] * n)
+    assert expand(_unmarked(x)) == x
+
+
+def test_multinomial_powers_count_compositions():
+    # one term per composition of 22 over the 4 terms: C(25, 3) = 2300
+    assert len(expand(parse("(u+v+w+1)^22")).terms) == math.comb(25, 3)
+    with pytest.raises(ex.LimitError, match="12341 term products"):
+        expand(parse("(u+v+w+1)^40"))
+
+
+def _constants(e):
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ex.Const):
+            yield node.value
+        todo.extend(node.children())
+
+
+def test_integral_constants_are_int_and_others_fraction():
+    three = ex.Const(Fraction(6, 2))
+    assert type(three.value) is int and three.value == 3
+    assert hash(three) == hash(ex.Const(Fraction(3))) and three.key() == ex.Const(Fraction(3)).key()
+    assert three == ex.Const(Fraction(3)) == ex.con(3)
+    # int / int is a float: these are the exact divisions
+    quarter = ex.pow_(ex.con(2), -2)
+    assert type(quarter.value) is Fraction and quarter.value == Fraction(1, 4)
+    assert ex.pow_(ex.con(3), -2).value == Fraction(1, 9)  # 3**-2 as a float is inexact
+    c, rest = ex._split_coeff(ex.quot(ex.var("u"), 3))
+    assert type(c) is Fraction and c == Fraction(1, 3) and rest == ex.var("u")
+    assert ex._split_coeff(ex.var("u")) == (1, ex.var("u"))
+    # every constant of a normal form is an int or a non-integral Fraction
+    sampler = SeededSampler(7)
+    exprs = catalog_expressions() + [random_expression(sampler, ("u", "v", "w", "t"), 5) for _ in range(300)]
+    for e in exprs:
+        for tree in (e, expand(e), differentiate(e, "u")):
+            for v in _constants(tree):
+                assert type(v) is int or (type(v) is Fraction and v.denominator != 1), (e, v)
 
 
 # --- differentiation --------------------------------------------------

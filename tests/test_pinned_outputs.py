@@ -1,6 +1,6 @@
-"""Pinned outputs: the verify reports, the sign-flipped controls' reports
-and the README ``bracket`` examples, each checked against the text or the
-sha256 digest it had when it was recorded.
+"""Pinned outputs: the verify reports, the sign-flipped controls' reports,
+the README ``catalog`` and ``bracket`` examples, each checked against the
+text or the sha256 digest it had when it was recorded.
 
 A change that alters one of these outputs on purpose updates its entry
 here and says which and why in CHANGES.md; any other difference is a
@@ -80,6 +80,24 @@ FLIPPED_SHA256 = {
 def test_flipped_control_reports_are_pinned(system, component):
     rep = verify_structure(flipped_sign_variant(cat.instantiate(system), component))
     assert _sha256(rep.to_json(deterministic=True).encode()) == FLIPPED_SHA256[system, component]
+
+
+# (length, sha256) of the stdout of each README catalog example
+CATALOG_STDOUT_SHA256 = {
+    "catalog": (1305, "edc72569776c1bd1666f86fd414df968fadc30ab077b8d6b96dba6bef46b164d"),
+    "catalog --json": (2206, "055e1a32c8368a8bccc0c321151dd9b0bdfe73fbad3ad52faa304c96779a4a6a"),
+}
+
+
+def test_readme_catalog_outputs_are_pinned(capsys):
+    prefix = "$ python -m biham3 "
+    lines = [l.strip() for l in README.read_text().splitlines()]
+    cmds = [l[len(prefix):] for l in lines if l.startswith(prefix + "catalog")]
+    assert cmds == list(CATALOG_STDOUT_SHA256)
+    for cmd in cmds:
+        assert main(shlex.split(cmd)) == 0, cmd
+        out = capsys.readouterr().out
+        assert (len(out), _sha256(out.encode())) == CATALOG_STDOUT_SHA256[cmd], cmd
 
 
 # stdout of each README bracket example, keyed by its arguments
