@@ -7,7 +7,7 @@ JSON report), ``bracket`` (one-off Poisson bracket evaluation).
 
 Exit codes: 0 success, 1 check failure or integration abort, 2 usage
 error.  The environment variable ``BIHAM3_SEED`` overrides the default
-sampling seed.
+sampling seed of ``verify`` and ``discover``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _default_seed():
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"BIHAM3_SEED must be an integer, got {env!r}")
+            raise _Usage(f"BIHAM3_SEED must be an integer, got {env!r}")
     return 42
 
 
@@ -298,11 +298,11 @@ def _parser():
 
 
 def main(argv=None):
-    seed = _default_seed()  # read on every call, so the environment can change between calls
     args = _parser().parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = seed
     try:
+        # read on every call, so the environment can change between calls
+        if "seed" in args and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except _Usage as err:
         print(f"error: {err}", file=sys.stderr)

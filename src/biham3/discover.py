@@ -9,18 +9,24 @@ condition is linear in the coefficients: applying the functional to
 basis element j gives a row r_j, and the candidates span the nullspace
 {c : sum_j c_j r_j = 0}.
 
-The search is exact first.  When every term of every expanded row is a
-rational multiple of a monomial (integer powers of the frame and time
-variables, negative ones included, so ``v/u`` is one) times at most one
-exp of a sum of monomials without constant term, distinct terms are
-linearly independent functions, so sum_j c_j r_j vanishes exactly when,
-term by term, the coefficients cancel.  Those term equations are solved
-over the rationals by sparse Gauss-Jordan elimination (Geddes, Czapor &
-Labahn, Algorithms for Computer Algebra, 1992, ch. 2-3).  Rows with any
-other term (a negative power of a sum such as ``1/(1+u)``, ln, sin, cos
-or a parameter) fall back to sampling: the functional is evaluated at
-seeded points and the nullspace is taken from an SVD with a relative
-singular-value threshold, then validated at fresh points.
+The search solves term equations.  Every row is first multiplied by one
+common denominator (:func:`biham3.expr.clear_denominators`), a factor
+that is nonzero on the domain, so the nullspace stays the same.  The
+terms of the rows then give one equation per distinct term, solved over
+the rationals by sparse Gauss-Jordan elimination (Geddes, Czapor &
+Labahn, Algorithms for Computer Algebra, 1992, ch. 2-3).  A vector whose
+term coefficients all cancel makes sum_j c_j r_j the literal zero, so
+every candidate is an identity.  When every term is a rational multiple
+of a monomial (integer powers of the frame and time variables, negative
+ones included, so ``v/u`` is one) times at most one exp of a sum of
+monomials without constant term, distinct terms are linearly independent
+functions, the term equations give the whole nullspace, and the report's
+method is "exact".  Other terms (ln, sin, cos, a parameter, or a sum
+inside a function) can be dependent, as ``sin(u)^2`` and ``cos(u)^2``
+are, and then the term equations could miss a solution: the functional
+is evaluated at seeded points, one SVD with a relative singular-value
+threshold must show the same nullity, and the method is "sampled".  A
+nullity that differs raises DiscoveryError.
 
 Candidates are reported in two forms: an orthonormal basis of the
 nullspace, and the reduced row echelon basis of the same span (leading
@@ -33,19 +39,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import expr as ex
 from .sampling import SeededSampler, sample_box
-from .vecfield import ScalarField, VectorField3, divergence, gradient, scale
+from .vecfield import ScalarField, VectorField3, divergence, scale
 
 SV_THRESHOLD = 1e-10  # nullspace cut, relative to the largest singular value
 SV_AMBIGUITY = 100.0  # kept/cut singular values closer than this factor -> error
-VALIDATION_TOL = 1e-8
-COEFF_SNAP = 1e-9
 MAX_ENTRIES = 10**7  # entries of one search's sample matrix, points x basis size
 
 
@@ -146,14 +150,14 @@ class Candidate:
 class DiscoveryResult:
     kind: str
     basis: AnsatzBasis
-    method: str  # "exact" (term equations over the rationals) or "sampled"
+    method: str  # "exact" (independent terms) or "sampled" (nullity confirmed by an SVD)
     nullspace_dim: int
     nullspace: tuple  # orthonormal rows (tuples)
     candidates: tuple  # reduced row echelon Candidate list
     singular_values: tuple  # empty on the exact route
     seed: int
-    n_points: int  # sample points; 0 on the exact route
-    equations: int  # term equations, or sample points when sampled
+    n_points: int  # sample points of the SVD; 0 on the exact route
+    equations: int  # term equations
     annotations: tuple = ()
 
     def to_dict(self):
@@ -267,15 +271,17 @@ def _independent(rest, names):
 
 
 def _exact_nullspace(rows, names):
-    """The nullspace of the rows' term equations over the rationals, or
-    None when a term is not _independent.
+    """The nullspace of the rows' term equations over the rationals.
 
-    Returns (vectors, equations): Fraction lists in reduced row echelon
-    form and the number of distinct terms.  Each equation is reduced by
-    the pivots so far at its largest column and becomes a pivot there,
-    so the free columns, which index the vectors, come as early as they
-    can and each vector has its leading 1 at its own free column."""
+    Returns (vectors, equations, independent): Fraction lists in reduced
+    row echelon form, the number of distinct terms, and whether every
+    term is _independent, so that the vectors span the whole nullspace
+    of the rows as functions.  Each equation is reduced by the pivots so
+    far at its largest column and becomes a pivot there, so the free
+    columns, which index the vectors, come as early as they can and each
+    vector has its leading 1 at its own free column."""
     eqs = {}  # term key -> {column: coefficient}
+    independent = True
     for j, row in enumerate(rows):
         for t in _terms(row):
             c, rest = ex._split_coeff(t)
@@ -283,8 +289,7 @@ def _exact_nullspace(rows, names):
                 continue
             eq = eqs.get(rest.key())
             if eq is None:
-                if not _independent(rest, names):
-                    return None
+                independent = independent and _independent(rest, names)
                 eq = eqs[rest.key()] = {}
             eq[j] = c
     pivots = {}  # column -> equation scaled to 1 there, nonzero only at or left of it
@@ -314,7 +319,7 @@ def _exact_nullspace(rows, names):
             if p > free:
                 v[p] = -sum(c * v[j] for j, c in pivots[p].items() if j != p)
         vectors.append(v)
-    return vectors, len(eqs)
+    return vectors, len(eqs), independent
 
 
 def _combination(coeffs, basis):
@@ -322,65 +327,37 @@ def _combination(coeffs, basis):
     return ex.add(*terms) if terms else ex.ZERO
 
 
-def _sign_fix(vec):
-    mags = np.abs(vec)
-    top = mags.max()
-    if top == 0.0:
-        return vec
-    for c in vec:
-        if abs(c) > COEFF_SNAP * top:
-            return -vec if c < 0 else vec
-    return vec
-
-
-def _sparsify(null_rows):
-    """Gauss-Jordan with magnitude pivoting over the nullspace span;
-    returns pivot-scaled rows (pivot 1) with small entries snapped to
-    zero, so exact nullspaces come back with rational entries."""
-    if not len(null_rows):
-        return null_rows
-    N = np.array(null_rows, dtype=float)
-    k, m = N.shape
-    r = 0
-    for col in range(m):
-        if r >= k:
-            break
-        i = r + int(np.argmax(np.abs(N[r:, col])))
-        if abs(N[i, col]) < 1e-10:
-            continue
-        N[[r, i]] = N[[i, r]]
-        N[r] /= N[r, col]
-        for j in range(k):
-            if j != r:
-                N[j] -= N[j, col] * N[r]
-        r += 1
-    out = []
-    for row in N:
-        top = np.abs(row).max()
-        if top == 0.0:
-            continue
-        row = np.where(np.abs(row) < COEFF_SNAP * top, 0.0, row)
-        out.append(_sign_fix(row))
-    return np.array(out)
-
-
-def _coeff_expr(coeffs, basis):
-    """The combination of a sampled nullspace vector, each coefficient
-    snapped to a rational with denominator at most 10^4 when that is
-    within 1e-12 relative."""
-    snapped = []
-    for c in coeffs:
-        frac = Fraction(c).limit_denominator(10**4)
-        snapped.append(frac if abs(float(frac) - c) <= 1e-12 * max(1.0, abs(c)) else float(c))
-    return _combination(snapped, basis)
+def _nullity_check(rows, basis, n, seed, nullity):
+    """The singular values of the rows at n seeded points, once they show
+    the nullity the term equations gave.  Raises DiscoveryError when the
+    rank is ambiguous or the nullities differ."""
+    names, pts = sample_box(SeededSampler(seed), _default_domain(basis.frame, basis.time), n)
+    A = ex.compile_array(rows, names)(pts)
+    if not np.isfinite(A).all():
+        raise DiscoveryError("the functional is not finite at every sample point")
+    svals = np.linalg.svd(A, compute_uv=False)
+    thresh = SV_THRESHOLD * svals[0]
+    in_gap = np.sum((svals >= thresh) & (svals < SV_AMBIGUITY * thresh))
+    if in_gap:
+        raise DiscoveryError(
+            f"ambiguous rank: {int(in_gap)} singular value(s) within a factor "
+            f"{SV_AMBIGUITY:g} of the nullspace threshold; increase the sample count"
+        )
+    sampled = int(np.sum(svals <= thresh))
+    if sampled != nullity:
+        raise DiscoveryError(
+            f"the term equations give a nullspace of dimension {nullity}, but the "
+            f"functional at {n} sample points has nullity {sampled}: some of its ln, "
+            "sin or cos terms are dependent"
+        )
+    return tuple(float(s) for s in svals)
 
 
 def _search(kind, basis, rows, n, seed):
     n = sample_count(len(basis), n)
-    exact = _exact_nullspace(rows, set(basis.frame) | {basis.time})
-    if exact is None:
-        return _sampled_search(kind, basis, rows, n, seed)
-    vectors, equations = exact
+    rows = ex.clear_denominators(rows)
+    vectors, equations, independent = _exact_nullspace(rows, set(basis.frame) | {basis.time})
+    svals = () if independent else _nullity_check(rows, basis, n, seed, len(vectors))
     candidates = []
     for vec in vectors:
         v = np.array([float(c) for c in vec])
@@ -394,71 +371,14 @@ def _search(kind, basis, rows, n, seed):
     return DiscoveryResult(
         kind=kind,
         basis=basis,
-        method="exact",
+        method="exact" if independent else "sampled",
         nullspace_dim=len(vectors),
         nullspace=null,
         candidates=tuple(candidates),
-        singular_values=(),
+        singular_values=svals,
         seed=seed,
-        n_points=0,
+        n_points=0 if independent else n,
         equations=equations,
-    )
-
-
-def _sampled_search(kind, basis, rows, n, seed):
-    m = len(basis)
-    box = _default_domain(basis.frame, basis.time)
-    names, pts = sample_box(SeededSampler(seed), box, n)
-    functional = ex.compile_array(rows, names)
-
-    A = functional(pts)
-    if not np.isfinite(A).all():
-        raise DiscoveryError("the functional is not finite at every sample point")
-    _, svals, Vt = np.linalg.svd(A, full_matrices=False)
-    smax = svals[0]
-    if smax == 0.0:
-        # functional vanishes identically: the whole basis is the nullspace
-        null_dim = m
-        null = np.eye(m)
-        svals = np.zeros(m)
-    else:
-        thresh = SV_THRESHOLD * smax
-        null_dim = int(np.sum(svals < thresh))
-        in_gap = np.sum((svals >= thresh) & (svals < SV_AMBIGUITY * thresh))
-        if in_gap:
-            raise DiscoveryError(
-                f"ambiguous rank: {int(in_gap)} singular value(s) within a factor "
-                f"{SV_AMBIGUITY:g} of the nullspace threshold; increase the sample count"
-            )
-        null = np.array([_sign_fix(Vt[m - null_dim + i]) for i in range(null_dim)])
-    sparse = _sparsify(null)
-
-    # fresh-point validation of the sparsified candidates
-    _, vpts = sample_box(SeededSampler(seed + 1), box, 1000)
-    B = functional(vpts)
-    candidates = []
-    for vec in sparse:
-        terms = B * vec
-        worst = float(
-            np.max(np.abs(terms.sum(axis=1)) / (1.0 + np.abs(terms).max(axis=1, initial=0.0)))
-        )
-        if not worst < VALIDATION_TOL:  # a NaN residual fails too
-            continue
-        unit = vec / np.linalg.norm(vec)
-        candidates.append(
-            Candidate(tuple(float(c) for c in unit), _coeff_expr(vec, basis), worst)
-        )
-    return DiscoveryResult(
-        kind=kind,
-        basis=basis,
-        method="sampled",
-        nullspace_dim=null_dim,
-        nullspace=tuple(tuple(float(c) for c in row) for row in null),
-        candidates=tuple(candidates),
-        singular_values=tuple(float(s) for s in svals),
-        seed=seed,
-        n_points=n,
-        equations=n,
     )
 
 
@@ -531,52 +451,28 @@ def _coordinates(e, index):
     return kappa
 
 
-def _sampled_coordinates(known, basis, seed):
-    """Least-squares basis coordinates of each known integral at 400
-    points drawn with ``seed``, with the fit residual relative to the
-    integral's size."""
-    box = _default_domain(basis.frame, basis.time)
-    names, pts = sample_box(SeededSampler(seed), box, 400)
-    B = ex.compile_array([b.expr for b in basis.elements], names)(pts)
-    targets = ex.compile_array([sf.expr for sf in known], names)(pts)
-    out = []
-    for target in targets.T:
-        kappa, _, _, _ = np.linalg.lstsq(B, target, rcond=None)
-        residual = np.max(np.abs(B @ kappa - target)) / (1.0 + np.max(np.abs(target)))
-        out.append((kappa, float(residual)))
-    return out
-
-
 def annotate(result: DiscoveryResult, known):
     """Match known integrals against the discovered span.
 
     Each known ScalarField's coordinates in the basis are read off its
-    expanded terms when each term is a multiple of a basis element.
-    Otherwise every known integral is expanded in the basis by least
-    squares at 400 points drawn with the result's seed plus 3, and
-    counts as expressible when the fit residual is below 1e-8.  The
-    annotation records the projection cosine onto the nullspace span
-    ("matched" when above 1 - 1e-8) and the best single candidate
-    alignment.
+    expanded terms; it is expressible when each term is a multiple of a
+    basis element.  The annotation records the projection cosine onto the
+    nullspace span ("matched" when above 1 - 1e-8) and the best single
+    candidate alignment.
     """
     basis = result.basis
     index = {}
     for j, b in enumerate(basis.elements):
         c, rest = ex._split_coeff(ex.expand(b.expr))
         index[rest.key()] = (j, c)
-    fits = [_coordinates(sf.expr, index) for sf in known]
-    if any(kappa is None for kappa in fits):
-        fits = _sampled_coordinates(known, basis, result.seed + 3)
-    else:
-        fits = [(kappa, 0.0) for kappa in fits]
-
     V = np.array(result.nullspace) if result.nullspace_dim else np.zeros((0, len(basis)))
     C = np.array([c.coefficients for c in result.candidates])
     annotations = []
-    for sf, (kappa, fit_residual) in zip(known, fits):
-        entry = {"known": str(sf.expr), "expressible": fit_residual < 1e-8}
-        norm = np.linalg.norm(kappa)
-        if norm == 0.0 or not entry["expressible"]:
+    for sf in known:
+        kappa = _coordinates(sf.expr, index)
+        entry = {"known": str(sf.expr), "expressible": kappa is not None}
+        norm = 0.0 if kappa is None else np.linalg.norm(kappa)
+        if norm == 0.0:
             entry |= {"matched": False, "subspace_cosine": 0.0}
             annotations.append(entry)
             continue

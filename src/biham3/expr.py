@@ -39,7 +39,8 @@ a sum by the multinomial theorem).  It is
 idempotent, and it marks each of its results, so expanding an expanded
 tree again returns it at once.  Sums over different denominators are
 not brought to a common one, so ``1/(1+u) + 1/(1-u) - 2/(1-u^2)`` does
-not expand to zero.
+not expand to zero; ``is_zero``, the one exact zero test, brings them
+to one with ``clear_denominators`` and shows it is.
 
 Expressions are immutable; evaluation, differentiation and substitution
 are reentrant.
@@ -763,6 +764,52 @@ def _expand(e):
         arg = expand(e.arg)
         return e if arg is e.arg else _FUNC_BUILDERS[e.fname](arg)
     raise ExprError(f"cannot expand node {type(e).__name__}")
+
+
+def _summands(e):
+    return e.terms if isinstance(e, Add) else (e,)
+
+
+def clear_denominators(exprs):
+    """The expanded ``exprs``, each multiplied by one common denominator
+    and expanded again until no term holds a sum to a negative power;
+    when no term does, the list of the same objects.  A pass multiplies
+    by the product of every such sum, each once at its highest power, so
+    ``mul`` cancels them term by term; a sum nested in a denominator is
+    left for the next pass.  The factor is nonzero wherever the exprs are
+    defined, so the results vanish exactly where the exprs do (Geddes,
+    Czapor & Labahn, Algorithms for Computer Algebra, 1992, ch. 2).
+    Negative powers of a variable or a function, and sums inside a
+    function's argument, stay as they are.  Raises LimitError as
+    ``expand`` does."""
+    exprs = list(exprs)
+    while True:
+        powers = {}
+        for e in exprs:
+            for t in _summands(e):
+                for f in t.factors if isinstance(t, Mul) else (t,):
+                    if isinstance(f, Pow) and f.exponent < 0 and isinstance(f.base, Add):
+                        powers[f.base] = min(powers.get(f.base, 0), f.exponent)
+        if not powers:
+            return exprs
+        d = mul(*[pow_(b, -n) for b, n in powers.items()])
+        exprs = [expand(add(*[mul(t, d) for t in _summands(e)])) for e in exprs]
+
+
+def is_zero(e):
+    """Whether ``e`` is identically zero, decided exactly: it expands to
+    ZERO, or the numerator ``clear_denominators`` leaves does, so
+    ``1/(1+u) + 1/(1-u) - 2/(1-u^2)`` is zero.  False means only that the
+    normal form does not show it: a dependence such as
+    ``sin(u)^2 + cos(u)^2 = 1``, or a numerator past MAX_TERMS.  A
+    LimitError of ``expand(e)`` itself propagates."""
+    e = expand(e)
+    if e == ZERO:
+        return True
+    try:
+        return clear_denominators((e,))[0] == ZERO
+    except LimitError:
+        return False
 
 
 # ---------------------------------------------------------------------------

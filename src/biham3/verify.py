@@ -3,11 +3,13 @@ and reports residual statistics, the orientation sign, and the deltas
 between derived and published formulas.
 
 Each verdict is decided exactly first: residuals are kept in the
-normal form of :mod:`biham3.expr`, and one that expands to the
-literal zero is an identity, reported ``exact`` with no point drawn.
-Only what the normal form cannot decide is sampled, at seeded points
-drawn at most once per run (Schwartz 1980, Zippel 1979), with the worst
-point reported as the witness.
+normal form of :mod:`biham3.expr`, and one that ``expr.is_zero`` shows
+zero (it expands, over a common denominator where it has one, to the
+literal zero) is an identity, reported ``exact`` with no point drawn.
+Only what the normal form cannot decide, such as terms that cancel
+through ``sin(u)^2 + cos(u)^2 = 1``, is sampled, at seeded points drawn
+at most once per run (Schwartz 1980, Zippel 1979), with the worst point
+reported as the witness.
 
 Sampled residuals are reported raw and relative, where "relative"
 divides by one plus the largest magnitude, at the sample point, of the
@@ -218,8 +220,8 @@ def _structure_rows(d, sigma):
 
 
 def _decide(name, residuals, points, tol):
-    """One check group: exact when every residual expands to ZERO,
-    otherwise sampled, with the worst sample point as its witness.
+    """One check group: exact when ``expr.is_zero`` shows every residual
+    zero, otherwise sampled, with the worst sample point as its witness.
 
     A sampled residual is judged against its own terms: each top-level
     term of the group's expanded residuals is one compiled column, a
@@ -228,7 +230,7 @@ def _decide(name, residuals, points, tol):
     the relative residual divides by one plus the largest term magnitude
     of the group at that point."""
     residuals = [ex.expand(r) for r in residuals]
-    if all(r == ex.ZERO for r in residuals):
+    if all(map(ex.is_zero, residuals)):
         return CheckResult(name, 0, 0.0, 0.0, 0.0, tol, True, "exact")
     names, pts = points()
     terms = [r.terms if isinstance(r, ex.Add) else (r,) for r in residuals]
@@ -263,13 +265,13 @@ def determine_orientation(defn, cfg=None):
 
 
 def _orientation(d, points, cfg):
-    """Exact when X - sigma*J1 x grad(H2) expands to ZERO for exactly one
-    sign; otherwise fitted over the sample points."""
+    """Exact when X - sigma*J1 x grad(H2) is zero by ``expr.is_zero`` for
+    exactly one sign; otherwise fitted over the sample points."""
     X, F = d.X.exprs(), d.F.exprs()
     exact = [
         s
         for s in (1, -1)
-        if all(ex.expand(ex.sub(x, ex.mul(ex.con(s), f))) == ex.ZERO for x, f in zip(X, F))
+        if all(ex.is_zero(ex.sub(x, ex.mul(ex.con(s), f))) for x, f in zip(X, F))
     ]
     if len(exact) == 1:
         s = exact[0]
@@ -352,7 +354,7 @@ def compare_printed(defn, cfg=None):
     """Compare each stored published formula with its derived counterpart.
 
     Informational: entries carry a match verdict and how it was reached.
-    An exact match (the difference expands to ZERO) has ``max_dev`` 0 and
+    An exact match (``expr.is_zero`` of the difference) has ``max_dev`` 0 and
     no point; otherwise the formulas are compared at seeded points and
     the entry gives the worst one.  Never fails a verification run.
     """
@@ -381,7 +383,7 @@ def _compare_printed(d, cfg):
         for i, (p, w) in enumerate(zip(have, want)):
             p = defn.bound_expr(p)
             entry = {"formula": key if len(have) == 1 else f"{key}[{i}]"}
-            if ex.expand(ex.sub(p, w)) == ex.ZERO:
+            if ex.is_zero(ex.sub(p, w)):
                 entry.update(match=True, method="exact", max_dev=0.0, max_rel_dev=0.0, at=[])
             else:
                 box = verification_box(p.free_symbols() | w.free_symbols(), defn.time)
@@ -403,10 +405,10 @@ def verify_fundamental_identity(structure: NambuStructure, cfg=None, instances=3
 
     Each instance contributes the residual ``lhs - (r1 + r2 + r3)`` of
     :func:`biham3.poisson.fundamental_identity_parts`.  The check is
-    exact when every residual expands to ZERO; otherwise the points are
-    drawn once, after the polynomials, from the same seeded stream, and
-    the check is sampled against the relative tolerance ``FI_TOL``, with
-    the worst point as its witness.
+    exact when ``expr.is_zero`` shows every residual zero; otherwise the
+    points are drawn once, after the polynomials, from the same seeded
+    stream, and the check is sampled against the relative tolerance
+    ``FI_TOL``, with the worst point as its witness.
     """
     cfg = cfg or SampleConfig(n=50)
     frame, time = structure.frame, structure.multiplier.time

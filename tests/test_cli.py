@@ -394,12 +394,15 @@ def test_seed_env_is_read_on_every_call(tmp_path, monkeypatch):
     assert seeds == [7, 11, 42, 3]
 
 
-def test_bad_seed_env_message(monkeypatch):
+def test_bad_seed_env_message(monkeypatch, tmp_path, capsys):
+    # a usage error of the commands that sample; the others do not read it
     monkeypatch.setenv("BIHAM3_SEED", "x")
-    for argv in (["catalog"], ["verify", "qi"]):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert str(err.value) == "BIHAM3_SEED must be an integer, got 'x'"
+    for argv in (["verify", "qi"], ["discover", "qi", "--degree", "1"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", "error: BIHAM3_SEED must be an integer, got 'x'\n")
+    simulate = ["simulate", "qi", "--init", "1,1,1", "--t1", "0.1", "--out", str(tmp_path / "t.csv")]
+    for argv in (["catalog"], ["bracket", "--j", "0;0;1", "--f", "u", "--h", "v"], simulate):
+        assert run(argv, capsys)[0] == 0
 
 
 def test_readme_examples_run_verbatim(capsys):
@@ -466,6 +469,17 @@ def test_discover_input_errors_are_usage_errors(capsys, args, message):
     assert time.perf_counter() - start < 5.0
     assert code == 2 and out == ""
     assert err.startswith(message)
+
+
+def test_dependent_transcendental_terms_fail_discover(tmp_path, capsys):
+    # the README's example: u^2 + v^2 is an integral only through
+    # sin(u)^2 + cos(u)^2 = 1, which the term equations do not see
+    path = tmp_path / "pythagoras.system"
+    path.write_text("name = pythagoras\nframe = u v w\nfield = v ; -u*(sin(u)^2 + cos(u)^2) ; 0\n")
+    code, out, err = run(["discover", str(path), "--degree", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the term equations give a nullspace of dimension 3, but the "
+                          "functional at 200 sample points has nullity 4")
 
 
 def test_bad_parameter_name_in_a_system_file_is_a_usage_error(tmp_path, capsys):

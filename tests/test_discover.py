@@ -1,10 +1,9 @@
 """Discovery: ansatz bases, nullspace search, annotation.
 
-Soundness bar: an exact candidate's functional expands to zero; a
-sampled candidate validates below 1e-8 relative at 1000 fresh seeded
-points; known-integral matches require a subspace projection cosine
-above 1 - 1e-8.  The sampled search is the exact one's independent
-oracle.
+Soundness bar: a candidate's functional expands to zero (over a common
+denominator where it has one); known-integral matches require a subspace
+projection cosine above 1 - 1e-8.  A numpy SVD of the functional at
+seeded points is the term equations' independent oracle.
 """
 
 from fractions import Fraction
@@ -20,7 +19,6 @@ from biham3.discover import (
     _derivative_rows,
     _exact_nullspace,
     _multiplier_rows,
-    _sampled_search,
     annotate,
     build_basis,
     first_integral_search,
@@ -28,6 +26,7 @@ from biham3.discover import (
     sample_count,
     spatial_invariant_search,
 )
+from biham3.sampling import SeededSampler, sample_box
 from biham3.vecfield import ScalarField, VectorField3, divergence, scale
 
 UVW = ("u", "v", "w")
@@ -35,12 +34,14 @@ UVW = ("u", "v", "w")
 
 def test_exact_nullspace_divides_exactly():
     # 3a + 2b = 0 pivots on the 2 at column 1: b = -3/2 a
-    vectors, equations = _exact_nullspace([parse("3*u"), parse("2*u")], UVW)
-    assert (vectors, equations) == ([[1, Fraction(-3, 2)]], 1)
+    vectors, equations, independent = _exact_nullspace([parse("3*u"), parse("2*u")], UVW)
+    assert (vectors, equations, independent) == ([[1, Fraction(-3, 2)]], 1, True)
     assert all(type(c) is Fraction for c in vectors[0])
-    vectors, _ = _exact_nullspace([parse("2*u + 4*v"), parse("3*u"), parse("6*v")], UVW)
+    vectors, _, _ = _exact_nullspace([parse("2*u + 4*v"), parse("3*u"), parse("6*v")], UVW)
     assert all(type(c) is Fraction for v in vectors for c in v)
     assert vectors == [[1, Fraction(-2, 3), Fraction(-2, 3)]]
+    # a sin term is solved as its own equation, but may depend on others
+    assert _exact_nullspace([parse("sin(u)"), parse("-sin(u)")], UVW) == ([[1, 1]], 1, False)
 
 
 def test_basis_counts():
@@ -129,20 +130,6 @@ def test_multiplier_vanishing_flag():
     assert "1" in by_expr and "u" in by_expr
     assert "vanishes-on-domain" in by_expr["u"].flags
     assert "vanishes-on-domain" not in by_expr["1"].flags
-
-
-def test_coeff_expr_keeps_a_non_snapping_float64():
-    # numpy 2 reprs a float64 as 'np.float64(...)', which Fraction rejects;
-    # a coefficient that does not snap to a small rational must still convert
-    from fractions import Fraction
-
-    from biham3.discover import _coeff_expr
-
-    basis = build_basis(1, UVW)
-    coeffs = np.zeros(len(basis))
-    coeffs[1] = 1.0000000000048284
-    e = _coeff_expr(coeffs, basis)
-    assert e == ex.mul(ex.con(Fraction("1.0000000000048284")), parse("w"))
 
 
 def test_soundness_and_reproducibility():
@@ -248,6 +235,16 @@ SEARCHES = (
 )
 
 
+def _svd_nullspace(rows, basis):
+    """The numerical nullspace of the rows at seeded points of the search
+    domain: the right singular vectors whose singular values are below
+    1e-10 of the largest."""
+    box = {v: (-2.0, 2.0) for v in basis.frame} | {basis.time: (0.0, 1.0)}
+    names, pts = sample_box(SeededSampler(42), box, sample_count(len(basis)))
+    _, svals, Vt = np.linalg.svd(ex.compile_array(rows, names)(pts))
+    return Vt[svals <= 1e-10 * svals[0]]
+
+
 @pytest.mark.parametrize("name", [s["name"] for s in cat.list_systems()])
 def test_exact_route_agrees_with_the_sampled_oracle(name):
     d = cat.instantiate(name)
@@ -269,13 +266,10 @@ def test_exact_route_agrees_with_the_sampled_oracle(name):
             for c in res.candidates:
                 assert _functional(kind, X, c.expr, d.time) == ex.ZERO, str(c.expr)
                 assert c.residual == 0.0
-            oracle = _sampled_search(kind, basis, rows, sample_count(len(basis)), 42)
-            assert oracle.method == "sampled"
-            assert res.nullspace_dim == oracle.nullspace_dim, (kind, len(basis))
+            oracle = _svd_nullspace(rows, basis)
+            assert res.nullspace_dim == len(oracle), (kind, len(basis))
             if res.nullspace_dim:
-                cosines = np.linalg.svd(
-                    np.array(res.nullspace) @ np.array(oracle.nullspace).T, compute_uv=False
-                )
+                cosines = np.linalg.svd(np.array(res.nullspace) @ oracle.T, compute_uv=False)
                 assert np.all(np.abs(cosines - 1.0) < 1e-8)
 
 
@@ -289,36 +283,50 @@ QUOTIENT_LU = (
 
 
 def test_quotients_and_logarithms_take_the_sampled_route():
+    # the quotients' rows are multiplied by (1+u^2)^2 and solved exactly;
+    # the ln term is solved as its own equation and the nullity sampled
     d = cat.instantiate(cat.load_system(QUOTIENT_LU))
     res = first_integral_search(d.bound_field(), build_basis(2, d.frame))
     res = annotate(res, [d.bound_scalar(d.h1), d.bound_scalar(d.h2)])
-    assert res.method == "sampled" and res.nullspace_dim == 3
-    assert res.n_points == 200 and len(res.singular_values) == 10
+    assert res.method == "exact" and res.nullspace_dim == 3
+    assert res.n_points == 0 and res.singular_values == ()
     assert all(a["matched"] for a in res.annotations)
+    assert [str(c.expr) for c in res.candidates] == ["1", "w - 1/2*u^2", "v^2 + w^2"]
 
     X = VectorField3.from_exprs([parse("v"), parse("-u"), parse("ln(3 + u)")], UVW)
     res = first_integral_search(X, build_basis(2, UVW))
     assert res.method == "sampled"
+    assert res.n_points == 200 and len(res.singular_values) == 10
     assert [str(c.expr) for c in res.candidates] == ["1", "u^2 + v^2"]
+
+
+def test_dependent_transcendental_terms_are_an_error():
+    # grad(u^2 + v^2).X = 2*u*v*(1 - sin(u)^2 - cos(u)^2) is zero, but its
+    # three terms are distinct: the term equations miss the candidate
+    # that the sampled nullity shows
+    X = VectorField3.from_exprs([parse("v"), parse("-u*(sin(u)^2 + cos(u)^2)"), parse("0")], UVW)
+    with pytest.raises(DiscoveryError, match="dimension 3, but .* 200 sample points has nullity 4"):
+        first_integral_search(X, build_basis(2, UVW))
 
 
 @pytest.mark.parametrize(
     "den,method,integral",
-    [("u", "exact", "u^2 + v^2"), ("1+u", "sampled", "u^2 + v^2 + 2*u")],
+    [("u", "exact", "u^2 + v^2"), ("1+u", "exact", "u^2 + v^2 + 2*u")],
     ids=["laurent-monomial", "power-of-a-sum"],
 )
 def test_a_negative_power_of_a_variable_is_exact_and_of_a_sum_is_sampled(den, method, integral):
-    # v/u is v*u^(-1), a monomial with an integer power; v/(1+u) is not
+    # v/u is v*u^(-1), a monomial with an integer power; the rows of
+    # v/(1+u) are multiplied by 1+u
     X = VectorField3.from_exprs([parse(f"v/({den})"), parse("-1"), parse("0")], UVW)
     res = first_integral_search(X, build_basis(2, UVW))
     assert res.method == method
     assert [str(c.expr) for c in res.candidates] == ["1", "w", "w^2", integral]
 
 
-def test_annotation_outside_the_basis_is_fitted_by_sampling():
+def test_annotation_outside_the_basis_is_not_expressible():
     d = cat.instantiate("lu-transformed")
     res = first_integral_search(d.bound_field(), build_basis(2, UVW))
-    # u^3 is no basis element, so least squares fits the coordinates, and finds none
+    # u^3 is no basis element; h1 is still read off its terms
     res = annotate(res, [ScalarField(parse("u^3"), UVW), d.bound_scalar(d.h1)])
     cube, h1 = res.annotations
     assert not cube["expressible"] and not cube["matched"]

@@ -30,7 +30,7 @@ from biham3.expr import (
     to_text,
 )
 from biham3 import catalog as cat
-from biham3.sampling import SeededSampler, random_expression, sample_box
+from biham3.sampling import SeededSampler, random_expression, random_polynomial, sample_box
 
 BOX_UVWT = {"u": (-2, 2), "v": (-2, 2), "w": (-2, 2), "t": (0, 2)}
 
@@ -256,6 +256,42 @@ def test_sums_over_different_denominators_are_not_combined():
     # 2/(1-u^2) is 1/(1+u) + 1/(1-u), but only over a common denominator
     assert expand(parse("1/(1+u) + 1/(1-u) - 2/(1-u^2)")) != ex.ZERO
     assert equal_numeric(parse("1/(1+u) + 1/(1-u)"), parse("2/(1-u^2)"), {"u": (-0.5, 0.5)})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/(1+u) + 1/(1-u) - 2/(1-u^2)",
+        "exp(t)/(1+exp(t)) - 1 + 1/(1+exp(t))",
+        "(u^2-1)/(u-1) - u - 1",
+        "1/(1 + 1/(1 + 1/u)) - (u+1)/(2*u+1)",
+    ],
+)
+def test_is_zero_brings_sums_to_a_common_denominator(text):
+    assert expand(parse(text)) != ex.ZERO and ex.is_zero(parse(text))
+    assert not ex.is_zero(parse(f"{text} + 1/(2+u)"))
+
+
+def test_is_zero_says_false_where_it_cannot_show_zero():
+    assert not ex.is_zero(parse("1/(1+u) - 1/(2+u)"))
+    # no identity of sin and cos is known to the normal form
+    assert not ex.is_zero(parse("sin(u)^2 + cos(u)^2 - 1"))
+    # the common numerator holds (1+u+v+w+x+y+z+t)^10, 19448 compositions
+    e = parse("1/(1+u+v+w+x+y+z+t)^10 - 1/(1+u)")
+    with pytest.raises(ex.LimitError, match="19448"):
+        ex.clear_denominators([e])
+    assert ex.is_zero(e) is False
+
+
+def test_is_zero_on_generated_sums_of_quotients():
+    # p/q + r/s - (p*s + r*q)/(q*s), the products on the right expanded
+    sampler = SeededSampler(11)
+    for _ in range(8):
+        p, q, r, s = (random_polynomial(sampler, ("u", "v"), 2) for _ in range(4))
+        lhs = ex.add(ex.quot(p, q), ex.quot(r, s))
+        rhs = ex.quot(expand(ex.add(ex.mul(p, s), ex.mul(r, q))), expand(ex.mul(q, s)))
+        assert ex.is_zero(ex.sub(lhs, rhs))
+        assert not ex.is_zero(ex.sub(lhs, ex.add(rhs, ex.quot(1, q))))
 
 
 @pytest.mark.parametrize(

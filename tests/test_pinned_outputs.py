@@ -1,13 +1,15 @@
 """Pinned outputs: the verify reports, the sign-flipped controls' reports,
-the README ``catalog`` and ``bracket`` examples, each checked against the
-text or the sha256 digest it had when it was recorded.
+the README ``catalog``, ``verify`` and ``bracket`` examples, each checked
+against the text or the sha256 digest it had when it was recorded.
 
 A change that alters one of these outputs on purpose updates its entry
 here and says which and why in CHANGES.md; any other difference is a
 regression in a report that should be byte-identical.
 """
 
+import datetime
 import hashlib
+import json
 import shlex
 from pathlib import Path
 
@@ -115,3 +117,26 @@ def test_readme_bracket_outputs_are_pinned(capsys):
     for cmd in cmds:
         assert main(["bracket", *shlex.split(cmd)]) == 0, cmd
         assert capsys.readouterr().out == README_BRACKET_STDOUT[cmd], cmd
+
+
+# (length, sha256) of the README verify example's report with --deterministic
+README_VERIFY_DETERMINISTIC = (2113, "700a7005cecb1c17104b23aced3f8954485257d13c625220563262b2400aa889")
+
+
+def test_readme_verify_report_is_the_deterministic_one_with_a_timestamp(tmp_path, capsys):
+    prefix = "$ python -m biham3 verify "
+    lines = [l.strip() for l in README.read_text().splitlines()]
+    [cmd] = [l[len(prefix):] for l in lines if l.startswith(prefix) and "--out" in l]
+    argv = ["verify", *shlex.split(cmd)]
+    timed, fixed = tmp_path / "timed.json", tmp_path / "fixed.json"
+    argv[argv.index("--out") + 1] = str(timed)
+    assert main(argv) == 0
+    argv[argv.index("--out") + 1] = str(fixed)
+    assert main([*argv, "--deterministic"]) == 0
+    capsys.readouterr()
+    fixed = fixed.read_bytes()
+    assert (len(fixed), _sha256(fixed)) == README_VERIFY_DETERMINISTIC
+    # the timestamp is the last field, on a line of its own
+    body, stamp = timed.read_bytes().rsplit(b',\n  "timestamp": ', 1)
+    assert body + b"\n}" == fixed
+    assert datetime.datetime.fromisoformat(json.loads(stamp.removesuffix(b"\n}"))).tzinfo
