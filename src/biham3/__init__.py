@@ -38,8 +38,6 @@ from .vecfield import (
     triple,
 )
 from .poisson import (
-    NambuStructure,
-    PoissonVector,
     casimir_residual,
     compatibility_residual,
     hamiltonian_field,

@@ -59,7 +59,6 @@ from fractions import Fraction
 from . import expr as ex
 from .expr import parse
 from .vecfield import FrameError, ScalarField, VectorField3, gradient, scale
-from .poisson import PoissonVector, NambuStructure
 from .sampling import verification_box
 
 
@@ -134,7 +133,8 @@ class SystemDef:
         return VectorField3(tuple(self.bound_scalar(c) for c in self.field.components))
 
     def poisson_vectors(self, gradients=None):
-        """J1 = (1/M) grad(H1), J2 = -(1/M) grad(H2), parameters bound.
+        """The Poisson vectors J1 = (1/M) grad(H1) and J2 = -(1/M) grad(H2)
+        as two VectorField3s, parameters bound.
 
         A caller that already holds the bound gradients of H1 and H2 may
         pass them as ``gradients``.
@@ -144,17 +144,15 @@ class SystemDef:
         m = self.bound_scalar(self.multiplier).expr
         j1, g2 = gradients or (gradient(self.bound_scalar(h)) for h in (self.h1, self.h2))
         js = (j1, scale(g2, ex.con(-1)))
-        if m != ex.ONE:
-            js = tuple(
-                VectorField3(
-                    tuple(ScalarField(ex.quot(c.expr, m), c.frame, c.time) for c in j.components)
-                )
-                for j in js
-            )
-        return PoissonVector(js[0], "J1"), PoissonVector(js[1], "J2")
+        if m == ex.ONE:
+            return js
+        return tuple(
+            VectorField3.from_exprs([ex.quot(e, m) for e in j.exprs()], j.frame, j.time) for j in js
+        )
 
     def nambu_structure(self):
-        return NambuStructure(self.bound_scalar(self.multiplier))
+        """The last multiplier M of the Nambu bracket, parameters bound."""
+        return self.bound_scalar(self.multiplier)
 
     def summary(self):
         return {
@@ -170,7 +168,7 @@ def _sf(text, frame, time="t"):
     return ScalarField(parse(text), frame, time)
 
 
-def _vf(texts, frame, time="t"):
+def _field(texts, frame, time="t"):
     return VectorField3.from_exprs([parse(s) for s in texts], frame, time)
 
 
@@ -193,7 +191,7 @@ def _build_catalog():
         frame=_XYZ,
         time="t",
         params=(ParamSpec("alpha"), ParamSpec("beta"), ParamSpec("gamma")),
-        field=_vf(["alpha*(y-x)", "gamma*y - x*z", "x*y - beta*z"], _XYZ),
+        field=_field(["alpha*(y-x)", "gamma*y - x*z", "x*y - beta*z"], _XYZ),
         multiplier=_sf("1", _XYZ),
     )
 
@@ -214,7 +212,7 @@ def _build_catalog():
             ParamSpec("beta", _p("2*alpha"), Fraction(2)),
             ParamSpec("gamma", _p("-2*alpha"), Fraction(-2)),
         ),
-        field=_vf(["alpha*v", "-u*w", "u*v"], _UVW),
+        field=_field(["alpha*v", "-u*w", "u*v"], _UVW),
         multiplier=_sf("1", _UVW),
         h1=_sf("1/2*(v^2+w^2)", _UVW),
         h2=_sf("1/2*u^2 - alpha*w", _UVW),
@@ -280,7 +278,7 @@ def _build_catalog():
             ParamSpec("beta", _p("2*alpha"), Fraction(2)),
             ParamSpec("gamma", _p("-alpha"), Fraction(-1)),
         ),
-        field=_vf(
+        field=_field(
             ["alpha*v + v*w*exp(-2*alpha*t)", "-u*w*exp(-2*alpha*t)", "u*v"],
             _UVW,
         ),
@@ -353,7 +351,7 @@ def _build_catalog():
             ParamSpec("beta", _p("2*alpha"), Fraction(2)),
             ParamSpec("gamma"),
         ),
-        field=_vf(
+        field=_field(
             [
                 "alpha*v*exp(alpha*t)",
                 "(gamma-alpha)*u*exp(-alpha*t) - alpha*u*w*exp(-3*alpha*t)",
@@ -427,7 +425,7 @@ def _build_catalog():
             ParamSpec("beta", _p("2*alpha"), Fraction(2)),
             ParamSpec("gamma"),
         ),
-        field=_vf(
+        field=_field(
             [
                 "alpha*v*exp((gamma+alpha)*t)",
                 "(gamma-alpha)*u*exp(-(gamma+alpha)*t)"
@@ -494,7 +492,7 @@ def _build_catalog():
             ParamSpec("gamma", _p("-alpha"), Fraction(-1)),
             ParamSpec("lambda"),
         ),
-        field=_vf(
+        field=_field(
             ["alpha*v", "2*alpha*u + lambda*u*w*exp(-alpha*t)", "u*v*exp(-alpha*t)"],
             _UVW,
         ),
@@ -553,7 +551,7 @@ def _build_catalog():
             ParamSpec("beta", _p("1")),
             ParamSpec("gamma"),
         ),
-        field=_vf(
+        field=_field(
             ["v + v*w*exp(-t)", "gamma*u - u*w*exp(-t)", "u*v*exp(-t)"],
             _UVW,
         ),
@@ -776,7 +774,7 @@ def load_system(document):
     if len(comps) != 3:
         raise SystemFormatError("field needs three ';'-separated components")
     try:
-        fld = _vf(comps, frame, time)
+        fld = _field(comps, frame, time)
         mult = _sf(data.get("multiplier", "1"), frame, time)
         h1 = _sf(data["h1"], frame, time) if "h1" in data else None
         h2 = _sf(data["h2"], frame, time) if "h2" in data else None

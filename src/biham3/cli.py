@@ -31,7 +31,7 @@ from .discover import (
     spatial_invariant_search,
 )
 from .integrate import IntegratorConfig, IntegrationError, integrate
-from .poisson import PoissonVector, poisson_bracket
+from .poisson import poisson_bracket
 from .vecfield import FrameError, ScalarField, VectorField3
 from .verify import SampleConfig, verify_structure
 
@@ -157,7 +157,7 @@ def _cmd_discover(args):
     if args.weights:
         try:
             lo, hi = args.weights.split("..")
-            weights = tuple(range(int(lo), int(hi) + 1))
+            weights = range(int(lo), int(hi) + 1)
         except ValueError:
             raise _Usage(f"--weights expects kmin..kmax, got {args.weights!r}")
     rate = None
@@ -201,7 +201,7 @@ def _cmd_bracket(args):
         syms |= e.free_symbols()
     frame = ("x", "y", "z") if (syms & {"x", "y", "z"} and not syms & {"u", "v", "w"}) else ("u", "v", "w")
     try:
-        J = PoissonVector(VectorField3.from_exprs(exprs, frame))
+        J = VectorField3.from_exprs(exprs, frame)
         F = ScalarField(f_expr, frame)
         H = ScalarField(h_expr, frame)
     except FrameError as err:

@@ -104,14 +104,16 @@ def build_basis(degree, frame, weights=None, rate=None, time="t"):
     within MAX_ENTRIES is refused before it is built."""
     if degree < 0:
         raise DiscoveryError("degree must be >= 0")
-    kset = (0,) if weights is None else tuple(weights)
+    kset = (0,) if weights is None else weights
     if not kset:
         raise DiscoveryError("weights must list at least one k")
     if weights is not None:
         if rate is None:
             raise DiscoveryError("weights need a rate expression")
         rate = ex.parse(rate) if isinstance(rate, str) else rate
+    # sized before it is iterated, so a huge range is refused unbuilt
     sample_count(math.comb(degree + 3, 3) * len(kset))
+    kset = tuple(kset)
     frame = tuple(frame)
     monomials = []
     for a in range(degree + 1):

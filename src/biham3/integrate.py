@@ -103,7 +103,7 @@ _FAC_MAX = 5.0
 
 _RHS_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
-MAX_POINTS = 10**6  # sample rows of an adaptive run, steps of an rk4 run
+MAX_POINTS = 10**6  # adaptive: sample rows and (t1 - t0)/max_step; rk4: steps
 MIN_STEP = 1e-13  # an adaptive step below this aborts the run
 _CSV_BLOCK = 1024  # rows per block of Trajectory.to_csv
 
@@ -146,9 +146,9 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise IntegrationError(f"{name} must be positive and finite, got {value!r}")
-        size = "step" if self.method == "rk4" else "sample_dt"
-        if (self.t1 - self.t0) / getattr(self, size) > MAX_POINTS:
-            raise IntegrationError(f"(t1 - t0)/{size} must be at most {MAX_POINTS}")
+        for size in ("step",) if self.method == "rk4" else ("sample_dt", "max_step"):
+            if (self.t1 - self.t0) / getattr(self, size) > MAX_POINTS:
+                raise IntegrationError(f"(t1 - t0)/{size} must be at most {MAX_POINTS}")
 
 
 @dataclass(eq=False)

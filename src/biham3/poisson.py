@@ -1,11 +1,11 @@
 """Poisson and Nambu bracket algebra for 3D flows.
 
 A Poisson structure in three dimensions is encoded by a Poisson vector
-J: the bracket is {F,H} = grad(F) . (J x grad(H)), Hamilton's equation
-is xdot = J x grad(H), and the Jacobi identity collapses to the scalar
-condition J . (curl J) = 0.  A nonvanishing last multiplier M turns a
-pair of Hamiltonians into the ternary bracket
-{F,H1,H2} = (1/M) grad(F) . (grad(H1) x grad(H2)).
+J, a plain VectorField3: the bracket is {F,H} = grad(F) . (J x grad(H)),
+Hamilton's equation is xdot = J x grad(H), and the Jacobi identity
+collapses to the scalar condition J . (curl J) = 0.  A nonvanishing last
+multiplier M, a plain ScalarField, turns a pair of Hamiltonians into the
+ternary bracket {F,H1,H2} = (1/M) grad(F) . (grad(H1) x grad(H2)).
 
 Convention: the bracket is fixed so that hamiltonian_field(J, H)[i]
 equals poisson_bracket(x_i, H, J).  Any leftover sign freedom of a
@@ -14,8 +14,6 @@ system, never in per-formula edits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import expr as ex
 from .vecfield import (
@@ -33,36 +31,6 @@ from .vecfield import (
 )
 
 
-@dataclass(frozen=True)
-class PoissonVector:
-    field: VectorField3
-    name: str = "J"
-
-    @property
-    def frame(self):
-        return self.field.frame
-
-
-@dataclass(frozen=True)
-class NambuStructure:
-    """Last multiplier M (nonvanishing on the working domain) plus frame."""
-
-    multiplier: ScalarField
-
-    @property
-    def frame(self):
-        return self.multiplier.frame
-
-    def is_trivial(self):
-        return self.multiplier.expr == ex.ONE
-
-
-def _vf(J):
-    if isinstance(J, PoissonVector):
-        return J.field
-    return J
-
-
 def _grad(H):
     # a caller that already holds grad(H) may pass it in place of H
     if isinstance(H, VectorField3):
@@ -75,78 +43,71 @@ def coordinate_field(name, frame, time="t"):
     return ScalarField(ex.var(name), frame, time)
 
 
-def poisson_bracket(F: ScalarField, H: ScalarField, J) -> ScalarField:
+def poisson_bracket(F: ScalarField, H: ScalarField, J: VectorField3) -> ScalarField:
     """{F,H} = grad(F) . (J x grad(H))."""
-    Jf = _vf(J)
-    if F.frame != H.frame or F.frame != Jf.frame:
+    if F.frame != H.frame or F.frame != J.frame:
         raise FrameError("bracket arguments disagree on frame")
-    return dot(gradient(F), cross(Jf, gradient(H)))
+    return dot(gradient(F), cross(J, gradient(H)))
 
 
 def hamiltonian_field(J, H) -> VectorField3:
     """xdot = J x grad(H); H may be given as its gradient."""
-    return cross(_vf(J), _grad(H))
+    return cross(J, _grad(H))
 
 
 def jacobi_residual(J) -> ScalarField:
     """J . (curl J); identically zero iff J is a Poisson vector."""
-    Jf = _vf(J)
-    return dot(Jf, curl(Jf))
+    return dot(J, curl(J))
 
 
 def casimir_residual(J, C) -> VectorField3:
     """J x grad(C); vanishes iff C is a Casimir of J.  C may be given as
     its gradient."""
-    return cross(_vf(J), _grad(C))
+    return cross(J, _grad(C))
 
 
 def compatibility_residual(J1, J2) -> ScalarField:
     """J1 . curl(J2) + J2 . curl(J1); zero for a compatible pair."""
-    a = _vf(J1)
-    b = _vf(J2)
     return ScalarField(
-        ex.add(dot(a, curl(b)).expr, dot(b, curl(a)).expr), a.frame, a.time
+        ex.add(dot(J1, curl(J2)).expr, dot(J2, curl(J1)).expr), J1.frame, J1.time
     )
 
 
 def pencil(J1, J2, c) -> VectorField3:
     """Componentwise J1 + c*J2."""
-    return vadd(_vf(J1), scale(_vf(J2), ex.con(c)))
+    return vadd(J1, scale(J2, ex.con(c)))
 
 
 def nambu_bracket(
-    F: ScalarField, H1: ScalarField, H2: ScalarField, structure: NambuStructure
+    F: ScalarField, H1: ScalarField, H2: ScalarField, M: ScalarField
 ) -> ScalarField:
     """{F,H1,H2} = (1/M) grad(F) . (grad(H1) x grad(H2))."""
     t = triple(gradient(F), gradient(H1), gradient(H2))
-    if structure.is_trivial():
+    if M.expr == ex.ONE:
         return t
-    return ScalarField(
-        ex.quot(t.expr, structure.multiplier.expr), t.frame, t.time
-    )
+    return ScalarField(ex.quot(t.expr, M.expr), t.frame, t.time)
 
 
-def nambu_field(H1, H2, structure: NambuStructure) -> VectorField3:
+def nambu_field(H1, H2, M: ScalarField) -> VectorField3:
     """The Nambu flow x_i' = {x_i, H1, H2} = (1/M) (grad(H1) x grad(H2))_i,
     all three components from one cross product.  H1 and H2 may be given
     as their gradients."""
     c = cross(_grad(H1), _grad(H2))
-    if structure.is_trivial():
+    if M.expr == ex.ONE:
         return c
-    m = structure.multiplier.expr
     return VectorField3(
-        tuple(ScalarField(ex.quot(s.expr, m), s.frame, s.time) for s in c.components)
+        tuple(ScalarField(ex.quot(s.expr, M.expr), s.frame, s.time) for s in c.components)
     )
 
 
-def fundamental_identity_parts(F1, F2, H1, H2, H3, structure):
+def fundamental_identity_parts(F1, F2, H1, H2, H3, M):
     """Symbolic pieces of the Takhtajan identity: the left side
     {F1,F2,{H1,H2,H3}} and the three right-side brackets with
     {F1,F2,H_k} substituted for H_k.
 
     The identity holds when ``lhs - (r1 + r2 + r3)`` vanishes.
     """
-    nb = lambda a, b, c: nambu_bracket(a, b, c, structure)
+    nb = lambda a, b, c: nambu_bracket(a, b, c, M)
     lhs = nb(F1, F2, nb(H1, H2, H3))
     r1 = nb(nb(F1, F2, H1), H2, H3)
     r2 = nb(H1, nb(F1, F2, H2), H3)
@@ -159,3 +120,14 @@ def multiplier_residual(M: ScalarField, X: VectorField3) -> ScalarField:
     if M.expr == ex.ZERO:
         raise ValueError("a last multiplier must be nonvanishing")
     return divergence(scale(X, M.expr))
+
+
+def flow_residual(X: VectorField3, F: VectorField3, sigma) -> VectorField3:
+    """X - sigma*F componentwise, left unexpanded so that whoever decides
+    it expands each component once."""
+    if X.frame != F.frame or X.time != F.time:
+        raise FrameError("flow residual arguments disagree on frame")
+    s = ex.con(-sigma)
+    return VectorField3.from_exprs(
+        [ex.add(x, ex.mul(s, f)) for x, f in zip(X.exprs(), F.exprs())], X.frame, X.time
+    )

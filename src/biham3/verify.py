@@ -42,11 +42,11 @@ import numpy as np
 
 from . import expr as ex
 from .sampling import SeededSampler, random_polynomial, sample_box, verification_box
-from .vecfield import ScalarField, VectorField3, dot, gradient, scale, vadd
+from .vecfield import ScalarField, VectorField3, dot, gradient
 from .poisson import (
-    NambuStructure,
     casimir_residual,
     compatibility_residual,
+    flow_residual,
     fundamental_identity_parts,
     hamiltonian_field,
     jacobi_residual,
@@ -58,6 +58,7 @@ from .catalog import ConstraintError, instantiate
 PENCIL_COEFFICIENTS = (-10, -1, "-0.3", "0.3", 1, 10)
 MULTIPLIER_FLOOR = 1e-9
 FI_TOL = 1e-8  # relative tolerance of the sampled fundamental identity
+MAX_SAMPLES = 10**6  # sample points of one run, the cap of integrate.MAX_POINTS
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"sample count must be at least 1, got {self.n}")
+        if self.n > MAX_SAMPLES:
+            raise ValueError(f"sample count must be at most {MAX_SAMPLES}, got {self.n}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
@@ -170,8 +173,10 @@ def _point(names, row):
 
 
 def _derive(defn):
-    """The objects the checks derive from an instantiated system, each
-    built once and shared by every check that needs it."""
+    """The objects the checks derive from a system, instantiated first if
+    it is not, each built once and shared by every check that needs it."""
+    if not defn.is_instantiated():
+        defn = instantiate(defn)
     d = SimpleNamespace(
         defn=defn,
         box=verification_box((*defn.frame, defn.time), defn.time),
@@ -181,7 +186,7 @@ def _derive(defn):
     if defn.h1 is not None and defn.h2 is not None:
         d.H = (defn.bound_scalar(defn.h1), defn.bound_scalar(defn.h2))
         d.G = tuple(gradient(h) for h in d.H)
-        d.J = tuple(j.field for j in defn.poisson_vectors(d.G))
+        d.J = defn.poisson_vectors(d.G)
         d.F = hamiltonian_field(d.J[0], d.G[1])  # the field up to the orientation sign
     return d
 
@@ -194,7 +199,7 @@ def _structure_rows(d, sigma):
     j1, j2 = d.J
     G1, G2 = d.G
     F2 = hamiltonian_field(j2, G1)
-    nb = nambu_field(G1, G2, NambuStructure(d.M))
+    nb = nambu_field(G1, G2, d.M)
     jac1, jac2 = jacobi_residual(j1).expr, jacobi_residual(j2).expr
     compat = compatibility_residual(j1, j2).expr
     return (
@@ -212,9 +217,9 @@ def _structure_rows(d, sigma):
         ("multiplier", [multiplier_residual(d.M, X).expr]),
         (
             "biham",
-            [*vadd(X, scale(d.F, -sigma)).exprs(), *vadd(X, scale(F2, -sigma)).exprs()],
+            [*flow_residual(X, d.F, sigma).exprs(), *flow_residual(X, F2, sigma).exprs()],
         ),
-        ("nambu", list(vadd(X, scale(nb, -sigma)).exprs())),
+        ("nambu", list(flow_residual(X, nb, sigma).exprs())),
         ("orthogonality", [dot(G1, X).expr, dot(G2, X).expr]),
     )
 
@@ -258,8 +263,6 @@ def determine_orientation(defn, cfg=None):
     cfg = cfg or SampleConfig()
     if defn.h1 is None or defn.h2 is None:
         raise ConstraintError(f"{defn.name}: orientation needs both Hamiltonians")
-    if not defn.is_instantiated():
-        defn = instantiate(defn)
     d = _derive(defn)
     return _orientation(d, lambda: _sample_points(d, cfg), cfg)
 
@@ -267,18 +270,13 @@ def determine_orientation(defn, cfg=None):
 def _orientation(d, points, cfg):
     """Exact when X - sigma*J1 x grad(H2) is zero by ``expr.is_zero`` for
     exactly one sign; otherwise fitted over the sample points."""
-    X, F = d.X.exprs(), d.F.exprs()
-    exact = [
-        s
-        for s in (1, -1)
-        if all(ex.is_zero(ex.sub(x, ex.mul(ex.con(s), f))) for x, f in zip(X, F))
-    ]
+    exact = [s for s in (1, -1) if all(map(ex.is_zero, flow_residual(d.X, d.F, s).exprs()))]
     if len(exact) == 1:
         s = exact[0]
         return OrientationResult(
             s, {s: 0.0}, {v: s for v in d.X.frame}, f"orientation {s:+d} (exact)"
         )
-    return _fit_orientation(X, F, d.X.frame, *points(), cfg)
+    return _fit_orientation(d.X.exprs(), d.F.exprs(), d.X.frame, *points(), cfg)
 
 
 def _fit_orientation(X, F, frame, names, pts, cfg):
@@ -312,9 +310,8 @@ def _fit_orientation(X, F, frame, names, pts, cfg):
 def verify_structure(defn, cfg=None):
     """Run the full identity checklist against an instantiated system."""
     cfg = cfg or SampleConfig()
-    if not defn.is_instantiated():
-        defn = instantiate(defn)
     d = _derive(defn)
+    defn = d.defn
     points = functools.cache(lambda: _sample_points(d, cfg))
     notes = list(defn.notes)
 
@@ -358,10 +355,7 @@ def compare_printed(defn, cfg=None):
     no point; otherwise the formulas are compared at seeded points and
     the entry gives the worst one.  Never fails a verification run.
     """
-    cfg = cfg or SampleConfig()
-    if not defn.is_instantiated():
-        defn = instantiate(defn)
-    return _compare_printed(_derive(defn), cfg)
+    return _compare_printed(_derive(defn), cfg or SampleConfig())
 
 
 def _compare_printed(d, cfg):
@@ -399,7 +393,7 @@ def _compare_printed(d, cfg):
     return out
 
 
-def verify_fundamental_identity(structure: NambuStructure, cfg=None, instances=3):
+def verify_fundamental_identity(M: ScalarField, cfg=None, instances=3):
     """The ternary-bracket fundamental identity (Takhtajan 1994) on seeded
     random quadratic polynomial quintuples, as one check.
 
@@ -411,12 +405,12 @@ def verify_fundamental_identity(structure: NambuStructure, cfg=None, instances=3
     ``FI_TOL``, with the worst point as its witness.
     """
     cfg = cfg or SampleConfig(n=50)
-    frame, time = structure.frame, structure.multiplier.time
+    frame, time = M.frame, M.time
     sampler = SeededSampler(cfg.seed)
     residuals = []
     for _ in range(instances):
         fs = [ScalarField(random_polynomial(sampler, frame, 2), frame, time) for _ in range(5)]
-        lhs, rhs = fundamental_identity_parts(*fs, structure)
+        lhs, rhs = fundamental_identity_parts(*fs, M)
         residuals.append(ex.sub(lhs.expr, ex.add(*(r.expr for r in rhs))))
     box = verification_box((*frame, time), time)
     return _decide(

@@ -182,6 +182,10 @@ def test_simulate_rejects_outputs_past_the_limit(tmp_path, capsys, flags, messag
         pytest.param(["--tol", "nan"], "tol must be finite and non-negative, got nan", id="tol-nan"),
         pytest.param(["--tol", "-1"], "tol must be finite and non-negative, got -1.0", id="tol-neg"),
         pytest.param(["--tol", "inf"], "tol must be finite and non-negative, got inf", id="tol-inf"),
+        pytest.param(
+            ["--samples", "1000000000"], "sample count must be at most 1000000, got 1000000000",
+            id="samples-past-limit",
+        ),
     ],
 )
 def test_verify_rejects_non_positive_samples(capsys, flags, message):
@@ -460,8 +464,9 @@ def test_a_one_element_multiplier_basis_is_searched(capsys):
         (["--degree", "2", "--weights=0..-2"], "error: weights must list at least one k"),
         (["--degree", "30"], "error: a search over 5456 basis elements at 16368 points"),
         (["--degree", "2", "--samples", "1000000000"], "error: a search over 10 basis elements"),
+        (["--degree", "2", "--weights=0..10000000000"], "error: a search over 100000000010 basis elements"),
     ],
-    ids=["negative-degree", "constant-basis", "constant-spatial-basis", "no-samples", "empty-weights", "degree-past-limit", "samples-past-limit"],
+    ids=["negative-degree", "constant-basis", "constant-spatial-basis", "no-samples", "empty-weights", "degree-past-limit", "samples-past-limit", "weights-past-limit"],
 )
 def test_discover_input_errors_are_usage_errors(capsys, args, message):
     start = time.perf_counter()

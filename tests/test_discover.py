@@ -176,6 +176,21 @@ def test_preconditions():
         first_integral_search(d.bound_field(), build_basis(2, UVW), n=10**6 + 1)
 
 
+class _HugeWeights:
+    """A sized stand-in for range(0, 10**10 + 1) that must not be iterated."""
+
+    def __len__(self):
+        return 10**10 + 1
+
+    def __iter__(self):
+        raise AssertionError("the weights were iterated before the size check")
+
+
+def test_weights_are_sized_before_they_are_iterated():
+    with pytest.raises(DiscoveryError, match="a search over 100000000010 basis elements"):
+        build_basis(2, UVW, weights=_HugeWeights(), rate=ex.con(1))
+
+
 def test_result_json():
     d = cat.instantiate("qi", gamma=2)
     res = first_integral_search(d.bound_field(), build_basis(2, UVW))

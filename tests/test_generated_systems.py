@@ -7,17 +7,22 @@ from a short list.  Such an X is bi-Hamiltonian by construction (Nambu
 and each of them must be decided exactly.  A copy with one component's
 sign flipped must fail, each failed group sampled with a witness.  For
 M = 1 the field is autonomous and polynomial, and a degree-3 first
-integral search must find both Hamiltonians in its span.
+integral search must find both Hamiltonians in its span.  Integrated
+from one point, each system must keep H1 and H2 to the integrator's
+tolerance on every sample, or abort on step size underflow where its
+solution blows up in finite time.
 
 Fields with fewer than two nonzero components are skipped: flipping the
 one component is -X, which the automatic orientation absorbs.
 """
 
+import numpy as np
 import pytest
 
 from biham3 import catalog as cat
 from biham3 import expr as ex
 from biham3.discover import annotate, build_basis, first_integral_search
+from biham3.integrate import IntegratorConfig, integrate
 from biham3.sampling import SeededSampler, random_polynomial
 from biham3.vecfield import ScalarField, cross, gradient, scale
 from biham3.verify import SampleConfig, flipped_sign_variant, verify_structure
@@ -85,3 +90,23 @@ def test_unit_multiplier_systems_discover_both_hamiltonians():
         assert res.method == "exact"
         for a in res.annotations:
             assert a["expressible"] and a["matched"], (defn.name, a)
+
+
+def test_generated_systems_keep_both_hamiltonians_along_a_trajectory():
+    # drift is bounded by the terms of H at each sample, not by |H|: on
+    # the runs that grow to |x| ~ 1e9, H2's float terms cancel to ~1e4
+    cfg = IntegratorConfig(t0=0.0, t1=1.0, y0=(0.3, -0.2, 0.1))
+    aborted = 0
+    for defn, _ in SYSTEMS:
+        H = {"H1": defn.bound_scalar(defn.h1), "H2": defn.bound_scalar(defn.h2)}
+        traj = integrate(defn.bound_field(), cfg, monitors=H)
+        if traj.aborted is not None:
+            assert traj.aborted.startswith("step size underflow"), (defn.name, traj.aborted)
+            aborted += 1
+        pts = np.column_stack([traj.states, traj.times])
+        for name, h in H.items():
+            terms = h.expr.terms if isinstance(h.expr, ex.Add) else (h.expr,)
+            scale = np.abs(ex.compile_array(terms, (*UVW, "t"))(pts)).sum(axis=1)
+            drift = np.abs(traj.monitors[name] - traj.monitors[name][0])
+            assert np.all(drift <= 1e-8 * (1.0 + scale)), (defn.name, name)
+    assert aborted == 6  # the systems whose solutions blow up before t = 1

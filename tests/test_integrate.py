@@ -269,7 +269,12 @@ def test_config_rejects_non_positive_or_non_finite_sizes(kwargs):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"sample_dt": 1e-7}, {"t1": 1e5, "sample_dt": 0.01}, {"method": "rk4", "step": 1e-7}],
+    [
+        {"sample_dt": 1e-7},
+        {"t1": 1e5, "sample_dt": 0.01},
+        {"method": "rk4", "step": 1e-7},
+        {"max_step": 1e-7},
+    ],
 )
 def test_config_caps_sample_and_step_counts(kwargs):
     args = {"t0": 0.0, "t1": 1.0, "y0": (0.0, 0.0, 0.0), **kwargs}

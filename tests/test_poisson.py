@@ -13,11 +13,10 @@ from biham3 import expr as ex
 from biham3.expr import parse
 from biham3.sampling import SeededSampler, random_polynomial
 from biham3.poisson import (
-    NambuStructure,
-    PoissonVector,
     casimir_residual,
     compatibility_residual,
     coordinate_field,
+    flow_residual,
     fundamental_identity_parts,
     hamiltonian_field,
     jacobi_residual,
@@ -27,7 +26,7 @@ from biham3.poisson import (
     pencil,
     poisson_bracket,
 )
-from biham3.vecfield import ScalarField, VectorField3, gradient, scale
+from biham3.vecfield import FrameError, ScalarField, VectorField3, gradient, scale, vadd
 
 UVW = ("u", "v", "w")
 BOX = {"u": (-2.0, 2.0), "v": (-2.0, 2.0), "w": (-2.0, 2.0), "t": (0.0, 2.0)}
@@ -41,18 +40,18 @@ def vf(*texts, frame=UVW):
     return VectorField3.from_exprs([parse(s) for s in texts], frame)
 
 
-def unit_structure():
-    return NambuStructure(sf("1"))
+def unit_multiplier():
+    return sf("1")
 
 
 def test_bracket_convention():
-    J = PoissonVector(vf("0", "0", "1"))
+    J = vf("0", "0", "1")
     b = poisson_bracket(coordinate_field("u", UVW), coordinate_field("v", UVW), J)
     assert b.expr == ex.con(-1)
 
 
 def test_bracket_antisymmetry_diagonal():
-    J = PoissonVector(vf("w", "u*v", "1"))
+    J = vf("w", "u*v", "1")
     F = sf("u^2+exp(-t)*v")
     assert poisson_bracket(F, F, J).expr == ex.ZERO
 
@@ -65,7 +64,7 @@ def test_h1_is_casimir_of_its_own_gradient_structure():
 
 
 def test_hamiltonian_field_examples():
-    J = PoissonVector(vf("0", "v", "w"))
+    J = vf("0", "v", "w")
     H = sf("u^2/2 - alpha*w")
     assert hamiltonian_field(J, H).exprs() == (
         parse("-alpha*v"),
@@ -94,10 +93,10 @@ def test_jacobi_residual_examples():
 
 
 def test_casimir_residual_examples():
-    J = PoissonVector(vf("0", "0", "1"))
+    J = vf("0", "0", "1")
     assert casimir_residual(J, sf("w")).exprs() == (ex.ZERO, ex.ZERO, ex.ZERO)
     assert casimir_residual(J, sf("u")).exprs() == (ex.ZERO, ex.ONE, ex.ZERO)
-    G = PoissonVector(gradient(sf("(v^2+w^2)/2")))
+    G = gradient(sf("(v^2+w^2)/2"))
     assert casimir_residual(G, sf("(v^2+w^2)/2")).exprs() == (
         ex.ZERO,
         ex.ZERO,
@@ -120,9 +119,9 @@ def test_compatibility_examples():
 def test_pencil_examples():
     d = cat.instantiate("lu-transformed")
     j1, j2 = d.poisson_vectors()
-    assert pencil(j1, j2, 0).exprs() == j1.field.exprs()
-    neg_j1 = scale(j1.field, ex.con(-1))
-    zero = pencil(j1, PoissonVector(neg_j1), 1)
+    assert pencil(j1, j2, 0).exprs() == j1.exprs()
+    neg_j1 = scale(j1, ex.con(-1))
+    zero = pencil(j1, neg_j1, 1)
     assert zero.exprs() == (ex.ZERO, ex.ZERO, ex.ZERO)
     for c in (-10, -5, -1, 0, 1, 5, 10):
         assert jacobi_residual(pencil(j1, j2, c)).expr == ex.ZERO
@@ -142,7 +141,7 @@ def test_pencil_theorem_all_catalog_pairs():
 
 def test_nambu_bracket_examples():
     d = cat.instantiate("lu-transformed")
-    S = unit_structure()
+    S = unit_multiplier()
     b = nambu_bracket(
         coordinate_field("u", UVW), d.bound_scalar(d.h1), d.bound_scalar(d.h2), S
     )
@@ -155,14 +154,24 @@ def test_nambu_field_is_the_coordinate_brackets():
     sampler = SeededSampler(13)
     H1, H2 = (ScalarField(random_polynomial(sampler, UVW, 3), UVW) for _ in range(2))
     for mult in ("1", "exp(-t)", "1+u^2"):
-        S = NambuStructure(sf(mult))
+        S = sf(mult)
         want = tuple(nambu_bracket(coordinate_field(v, UVW), H1, H2, S).expr for v in UVW)
         assert nambu_field(H1, H2, S).exprs() == want
         assert nambu_field(gradient(H1), gradient(H2), S).exprs() == want
 
 
+def test_flow_residual_is_x_minus_sigma_f():
+    X, F = vf("u*(v+1)", "w", "exp(-t)*u"), vf("u*v", "-w", "1/(1+u^2)")
+    for sigma in (1, -1):
+        r = flow_residual(X, F, sigma)
+        assert tuple(map(ex.expand, r.exprs())) == vadd(X, scale(F, -sigma)).exprs()
+    assert tuple(map(ex.expand, flow_residual(X, X, 1).exprs())) == (ex.ZERO,) * 3
+    with pytest.raises(FrameError):
+        flow_residual(X, vf("x", "y", "z", frame=("x", "y", "z")), 1)
+
+
 def test_identities_accept_a_precomputed_gradient():
-    J = PoissonVector(vf("w", "u*v", "exp(-t)"))
+    J = vf("w", "u*v", "exp(-t)")
     H = sf("u^2*v - exp(t)*w")
     assert hamiltonian_field(J, gradient(H)) == hamiltonian_field(J, H)
     assert casimir_residual(J, gradient(H)) == casimir_residual(J, H)
@@ -185,7 +194,7 @@ def test_pencil_jacobi_is_quadratic_in_the_coefficient():
 def test_nambu_generalized_leibnitz():
     sampler = SeededSampler(12)
     for mult in ("1", "exp(-t)"):
-        S = NambuStructure(sf(mult))
+        S = sf(mult)
         F1, F2, F, H = (
             ScalarField(random_polynomial(sampler, UVW, 2), UVW) for _ in range(4)
         )
@@ -198,7 +207,7 @@ def test_nambu_generalized_leibnitz():
 
 
 def test_fundamental_identity_trivial_cases():
-    S = unit_structure()
+    S = unit_multiplier()
     coords = [coordinate_field(v, UVW) for v in UVW]
     const = sf("5")
     for quintuple in (
@@ -212,7 +221,7 @@ def test_fundamental_identity_trivial_cases():
 
 def test_fundamental_identity_random_quintuples():
     sampler = SeededSampler(4)
-    S = unit_structure()
+    S = unit_multiplier()
     names = tuple(sorted(BOX))
     for _ in range(3):
         polys = [
@@ -240,10 +249,8 @@ def test_multiplier_residual_examples():
 
 def test_bracket_antisymmetry_random():
     sampler = SeededSampler(13)
-    J = PoissonVector(
-        VectorField3(
-            tuple(ScalarField(random_polynomial(sampler, UVW, 2), UVW) for _ in range(3))
-        )
+    J = VectorField3(
+        tuple(ScalarField(random_polynomial(sampler, UVW, 2), UVW) for _ in range(3))
     )
     for _ in range(5):
         F = ScalarField(random_polynomial(sampler, UVW, 2), UVW)
@@ -256,7 +263,7 @@ def test_induced_bracket_jacobi_identity():
     # J = grad(H) satisfies the vector Jacobi condition; the induced
     # binary bracket must then satisfy the classical Jacobi identity.
     sampler = SeededSampler(14)
-    J = PoissonVector(gradient(ScalarField(random_polynomial(sampler, UVW, 2), UVW)))
+    J = gradient(ScalarField(random_polynomial(sampler, UVW, 2), UVW))
     F, G, K = (ScalarField(random_polynomial(sampler, UVW, 2), UVW) for _ in range(3))
     cyc = ex.add(
         poisson_bracket(poisson_bracket(F, G, J), K, J).expr,

@@ -17,7 +17,6 @@ from biham3 import expr as ex
 from biham3 import verify
 from biham3.expr import parse
 from biham3.poisson import (
-    NambuStructure,
     coordinate_field,
     hamiltonian_field,
     multiplier_residual,
@@ -101,13 +100,19 @@ def test_orientation_diagnosis_for_published_lu_field():
     assert "no global orientation" in o.message
 
 
+def test_sample_config_caps_the_sample_count():
+    assert SampleConfig(n=verify.MAX_SAMPLES).n == 10**6
+    with pytest.raises(ValueError, match="sample count must be at most 1000000, got 1000001"):
+        SampleConfig(n=10**6 + 1)
+
+
 def test_fundamental_identity_check():
-    S = NambuStructure(ScalarField(parse("1"), ("u", "v", "w")))
+    S = ScalarField(parse("1"), ("u", "v", "w"))
     r = verify_fundamental_identity(S, SampleConfig(n=50), instances=2)
     assert r.passed and r.method == "exact" and r.n == 0
     # 1/M is a negative power, which cancels against M's own factors
     for m in ("exp(-t)", "1+u^2"):
-        S = NambuStructure(ScalarField(parse(m), ("u", "v", "w")))
+        S = ScalarField(parse(m), ("u", "v", "w"))
         r = verify_fundamental_identity(S, SampleConfig(n=50), instances=2)
         assert r.passed and r.method == "exact" and r.n == 0
 
@@ -291,7 +296,7 @@ def _witnessed_residuals(d, sigma):
     nambu = [nambu_bracket(coordinate_field(v, d.frame), H1, H2, S).expr for v in d.frame]
     minus = lambda B, s: [ex.sub(a, ex.mul(ex.con(s), b)) for a, b in zip(X, B)]
     return {
-        "multiplier": [[multiplier_residual(S.multiplier, d.bound_field()).expr]],
+        "multiplier": [[multiplier_residual(S, d.bound_field()).expr]],
         "biham": [minus(F1, sigma) + minus(F2, sigma)],
         "nambu": [minus(nambu, sigma)],
         "orthogonality": [[ex.add(*(ex.mul(g, x) for g, x in zip(G.exprs(), X)))
