@@ -98,8 +98,6 @@ def _cmd_catalog(args):
 
 
 def _cmd_verify(args):
-    if args.samples < 1:
-        raise _Usage(f"--samples must be at least 1, got {args.samples}")
     defn = _resolve_system(args.system, _parse_params(args.param))
     try:
         cfg = SampleConfig(n=args.samples, seed=args.seed, tol=args.tol)

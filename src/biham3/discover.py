@@ -28,11 +28,11 @@ is evaluated at seeded points, one SVD with a relative singular-value
 threshold must show the same nullity, and the method is "sampled".  A
 nullity that differs raises DiscoveryError.
 
-Candidates are reported in two forms: an orthonormal basis of the
-nullspace, and the reduced row echelon basis of the same span (leading
-coefficient 1, zero at the other candidates' leading elements), whose
-vectors line up with the catalog integrals instead of arbitrary
-rotations of them.  The report's ``method`` says which route was taken.
+Candidates are the reduced row echelon basis of the nullspace in exact
+rationals (leading coefficient 1, zero at the other candidates' leading
+elements), whose vectors line up with the catalog integrals instead of
+arbitrary rotations of them.  The report's ``method`` says which route
+was taken.
 """
 
 from __future__ import annotations
@@ -142,9 +142,8 @@ def build_basis(degree, frame, weights=None, rate=None, time="t"):
 
 @dataclass(frozen=True)
 class Candidate:
-    coefficients: tuple
+    coefficients: tuple  # Fractions, with the leading 1 at the candidate's free column
     expr: object
-    residual: float
     flags: tuple = ()
 
 
@@ -154,7 +153,6 @@ class DiscoveryResult:
     basis: AnsatzBasis
     method: str  # "exact" (independent terms) or "sampled" (nullity confirmed by an SVD)
     nullspace_dim: int
-    nullspace: tuple  # orthonormal rows (tuples)
     candidates: tuple  # reduced row echelon Candidate list
     singular_values: tuple  # empty on the exact route
     seed: int
@@ -164,7 +162,7 @@ class DiscoveryResult:
 
     def to_dict(self):
         return {
-            "schema": 2,
+            "schema": 3,
             "kind": self.kind,
             "method": self.method,
             "basis": self.basis.describe() | {"elements": self.basis.labels()},
@@ -172,15 +170,7 @@ class DiscoveryResult:
             "equations": self.equations,
             "rank": len(self.basis) - self.nullspace_dim,
             "singular_values": list(self.singular_values),
-            "candidates": [
-                {
-                    "coefficients": list(c.coefficients),
-                    "expr": str(c.expr),
-                    "residual": c.residual,
-                    "flags": list(c.flags),
-                }
-                for c in self.candidates
-            ],
+            "candidates": [_candidate_dict(c) for c in self.candidates],
             "annotations": [dict(a) for a in self.annotations],
             "seed": self.seed,
             "n": self.n_points,
@@ -188,6 +178,18 @@ class DiscoveryResult:
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+
+def _candidate_dict(c):
+    """A candidate as integer numerators over their least common
+    denominator, so the coefficients stay a list of JSON numbers."""
+    den = math.lcm(*(q.denominator for q in c.coefficients))
+    return {
+        "coefficients": [q.numerator * (den // q.denominator) for q in c.coefficients],
+        "denominator": den,
+        "expr": str(c.expr),
+        "flags": list(c.flags),
+    }
 
 
 def _default_domain(frame, time):
@@ -319,7 +321,7 @@ def _exact_nullspace(rows, names):
         v[free] = Fraction(1)
         for p in order:
             if p > free:
-                v[p] = -sum(c * v[j] for j, c in pivots[p].items() if j != p)
+                v[p] = -sum((c * v[j] for j, c in pivots[p].items() if j != p), Fraction(0))
         vectors.append(v)
     return vectors, len(eqs), independent
 
@@ -360,23 +362,12 @@ def _search(kind, basis, rows, n, seed):
     rows = ex.clear_denominators(rows)
     vectors, equations, independent = _exact_nullspace(rows, set(basis.frame) | {basis.time})
     svals = () if independent else _nullity_check(rows, basis, n, seed, len(vectors))
-    candidates = []
-    for vec in vectors:
-        v = np.array([float(c) for c in vec])
-        unit = v / np.linalg.norm(v)
-        candidates.append(Candidate(tuple(float(c) for c in unit), _combination(vec, basis), 0.0))
-    null = ()
-    if candidates:
-        # row k: the unit part of candidate k orthogonal to those before it
-        Q, R = np.linalg.qr(np.array([c.coefficients for c in candidates]).T)
-        null = tuple(tuple(float(c) for c in row) for row in (Q * np.sign(np.diag(R))).T)
     return DiscoveryResult(
         kind=kind,
         basis=basis,
         method="exact" if independent else "sampled",
         nullspace_dim=len(vectors),
-        nullspace=null,
-        candidates=tuple(candidates),
+        candidates=tuple(Candidate(tuple(v), _combination(v, basis)) for v in vectors),
         singular_values=svals,
         seed=seed,
         n_points=0 if independent else n,
@@ -427,7 +418,7 @@ def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
     B = ex.compile_array([b.expr for b in basis.elements], names)(pts)
     flagged = []
     for cand in result.candidates:
-        vals = B @ np.array(cand.coefficients)
+        vals = B @ np.array([float(c) for c in cand.coefficients])
         flags = cand.flags
         top = np.abs(vals).max()
         sign_change = vals.min() < 0.0 < vals.max()
@@ -438,10 +429,11 @@ def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
 
 
 def _coordinates(e, index):
-    """The basis coordinates of ``e`` read off its expanded terms, or None
-    when a term is not a multiple of a basis element; ``index`` maps each
-    element's term key to (position, coefficient)."""
-    kappa = np.zeros(len(index))
+    """The nonzero basis coordinates of ``e`` as {position: Fraction},
+    read off its expanded terms, or None when a term is not a multiple of
+    a basis element; ``index`` maps each element's term key to (position,
+    coefficient)."""
+    kappa = {}
     for t in _terms(ex.expand(e)):
         c, rest = ex._split_coeff(t)
         if c == 0:
@@ -449,43 +441,39 @@ def _coordinates(e, index):
         hit = index.get(rest.key())
         if hit is None:
             return None
-        kappa[hit[0]] = float(c / hit[1])
+        kappa[hit[0]] = Fraction(c, hit[1])
     return kappa
 
 
 def annotate(result: DiscoveryResult, known):
-    """Match known integrals against the discovered span.
+    """Match known integrals against the discovered span, exactly.
 
-    Each known ScalarField's coordinates in the basis are read off its
-    expanded terms; it is expressible when each term is a multiple of a
-    basis element.  The annotation records the projection cosine onto the
-    nullspace span ("matched" when above 1 - 1e-8) and the best single
-    candidate alignment.
+    Each known ScalarField's coordinates kappa in the basis are read off
+    its expanded terms; it is expressible when each term is a multiple of
+    a basis element.  Candidate k has its leading 1 at its free column
+    f_k and 0 at the other candidates' free columns, so kappa is in the
+    span exactly when kappa - sum_k kappa[f_k]*c_k is zero.  A matched
+    entry lists ``coordinates``: [k, "p/q"] for each nonzero kappa[f_k].
     """
-    basis = result.basis
     index = {}
-    for j, b in enumerate(basis.elements):
+    for j, b in enumerate(result.basis.elements):
         c, rest = ex._split_coeff(ex.expand(b.expr))
         index[rest.key()] = (j, c)
-    V = np.array(result.nullspace) if result.nullspace_dim else np.zeros((0, len(basis)))
-    C = np.array([c.coefficients for c in result.candidates])
+    # the nonzero entries of each candidate; the first is its leading 1
+    sparse = [[(j, c) for j, c in enumerate(cand.coefficients) if c] for cand in result.candidates]
     annotations = []
     for sf in known:
         kappa = _coordinates(sf.expr, index)
         entry = {"known": str(sf.expr), "expressible": kappa is not None}
-        norm = 0.0 if kappa is None else np.linalg.norm(kappa)
-        if norm == 0.0:
-            entry |= {"matched": False, "subspace_cosine": 0.0}
-            annotations.append(entry)
-            continue
-        khat = kappa / norm
-        sub_cos = float(np.linalg.norm(V @ khat)) if len(V) else 0.0
-        entry["subspace_cosine"] = min(sub_cos, 1.0)
-        entry["matched"] = sub_cos > 1.0 - 1e-8
-        if len(C):
-            cos = np.abs(C @ khat) / np.linalg.norm(C, axis=1)
-            best = int(np.argmax(cos))
-            entry["best_candidate"] = str(result.candidates[best].expr)
-            entry["best_cosine"] = min(float(cos[best]), 1.0)
+        coordinates = []
+        if kappa is not None:
+            for k, entries in enumerate(sparse):
+                a = kappa.get(entries[0][0])
+                if a:
+                    coordinates.append([k, str(a)])
+                    for j, c in entries:
+                        kappa[j] = kappa.get(j, 0) - a * c
+        matched = kappa is not None and not any(kappa.values())
+        entry |= {"matched": matched, "coordinates": coordinates if matched else []}
         annotations.append(entry)
     return replace(result, annotations=tuple(annotations))

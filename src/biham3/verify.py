@@ -188,6 +188,10 @@ def _derive(defn):
         d.G = tuple(gradient(h) for h in d.H)
         d.J = defn.poisson_vectors(d.G)
         d.F = hamiltonian_field(d.J[0], d.G[1])  # the field up to the orientation sign
+        # X - sigma*F expanded, per sign: the orientation decides it, the biham row
+        # checks it; the closure holds X and F, not d, so d is in no reference cycle
+        X, F = d.X, d.F
+        d.flow = functools.cache(lambda s: tuple(map(ex.expand, flow_residual(X, F, s).exprs())))
     return d
 
 
@@ -217,7 +221,7 @@ def _structure_rows(d, sigma):
         ("multiplier", [multiplier_residual(d.M, X).expr]),
         (
             "biham",
-            [*flow_residual(X, d.F, sigma).exprs(), *flow_residual(X, F2, sigma).exprs()],
+            [*d.flow(sigma), *flow_residual(X, F2, sigma).exprs()],
         ),
         ("nambu", list(flow_residual(X, nb, sigma).exprs())),
         ("orthogonality", [dot(G1, X).expr, dot(G2, X).expr]),
@@ -270,7 +274,7 @@ def determine_orientation(defn, cfg=None):
 def _orientation(d, points, cfg):
     """Exact when X - sigma*J1 x grad(H2) is zero by ``expr.is_zero`` for
     exactly one sign; otherwise fitted over the sample points."""
-    exact = [s for s in (1, -1) if all(map(ex.is_zero, flow_residual(d.X, d.F, s).exprs()))]
+    exact = [s for s in (1, -1) if all(map(ex.is_zero, d.flow(s)))]
     if len(exact) == 1:
         s = exact[0]
         return OrientationResult(

@@ -9,11 +9,14 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from biham3 import expr as ex
 from biham3.cli import main
+from biham3.expr import parse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -177,8 +180,8 @@ def test_simulate_rejects_outputs_past_the_limit(tmp_path, capsys, flags, messag
 @pytest.mark.parametrize(
     "flags,message",
     [
-        pytest.param(["--samples", "0"], "--samples must be at least 1, got 0", id="0"),
-        pytest.param(["--samples", "-5"], "--samples must be at least 1, got -5", id="-5"),
+        pytest.param(["--samples", "0"], "sample count must be at least 1, got 0", id="0"),
+        pytest.param(["--samples", "-5"], "sample count must be at least 1, got -5", id="-5"),
         pytest.param(["--tol", "nan"], "tol must be finite and non-negative, got nan", id="tol-nan"),
         pytest.param(["--tol", "-1"], "tol must be finite and non-negative, got -1.0", id="tol-neg"),
         pytest.param(["--tol", "inf"], "tol must be finite and non-negative, got inf", id="tol-inf"),
@@ -208,6 +211,10 @@ def test_discover_cli(tmp_path, capsys):
         "1/2*(v^2 + w^2)": True,
         "-w + 1/2*u^2": True,
     }
+    # the README's example candidate: integer numerators over their denominator
+    by_expr = {c["expr"]: c for c in data["candidates"]}
+    assert by_expr["w - 1/2*u^2"]["coefficients"] == [0, 2, 0, 0, 0, 0, 0, 0, 0, -1]
+    assert by_expr["w - 1/2*u^2"]["denominator"] == 2
 
 
 DISCOVER_DEG4 = [
@@ -227,8 +234,17 @@ def test_discover_deg4_is_exact_and_seed_independent(tmp_path, capsys):
     assert reports[0]["method"] == "exact" and reports[0]["nullspace_dim"] == 11
     for c in reports[0]["candidates"]:
         assert all(int(d) <= 100 for d in re.findall(r"/(\d+)", c["expr"])), c["expr"]
-    # H1 and H2 are candidates; their float cosine must not read above 1
-    assert all(1 - 1e-12 < a["best_cosine"] <= 1.0 for a in reports[0]["annotations"])
+    # H1 and H2 are exact multiples of candidates 9 and 4
+    assert [(a["matched"], a["coordinates"]) for a in reports[0]["annotations"]] == [
+        (True, [[9, "-1"]]),
+        (True, [[4, "-1/2"]]),
+    ]
+    # each candidate's coefficients over its denominator rebuild its expr exactly
+    labels = [parse(b) for b in reports[0]["basis"]["elements"]]
+    for c in reports[0]["candidates"]:
+        den = c["denominator"]
+        terms = [ex.mul(ex.con(Fraction(a, den)), b) for a, b in zip(c["coefficients"], labels)]
+        assert ex.expand(ex.sub(ex.add(*terms), parse(c["expr"]))) == ex.ZERO, c["expr"]
 
 
 def test_bracket_prints_constant(capsys):
@@ -497,12 +513,13 @@ def test_bad_parameter_name_in_a_system_file_is_a_usage_error(tmp_path, capsys):
 
 # sha256 of the report each discover command writes: the README examples by
 # their --out file name, and discover-deg4's command by its seed; recorded
-# when discovery became exact-first (report schema 2)
+# when the reports became exact (report schema 3: rational candidates and
+# exact span matches)
 DISCOVER_SHA256 = {
-    "biham3-disc.json": "c2675c039b0c4f0cfe7a2b10ca52f3b3ec147104c19fbf5814bc92577f94b38d",
-    "biham3-ml.json": "df7523cb282d4441b6b6f048f26a0c2c9d61f47b9e164527524aed2a79e9b1b8",
-    "--seed 42": "df7523cb282d4441b6b6f048f26a0c2c9d61f47b9e164527524aed2a79e9b1b8",
-    "--seed 2": "53c1698c36197d29f02cf1c0df61e205dc6da4b7800531dd5fb98525d4440b83",
+    "biham3-disc.json": "6b0b4230a2cd5c53ac4e678108044d431d3f334c48175f55310660631ab0461e",
+    "biham3-ml.json": "9f0646e6a80d06b196ecac79ccf6fcfb177a0cd3a87a396c85a98a4bd181b63c",
+    "--seed 42": "9f0646e6a80d06b196ecac79ccf6fcfb177a0cd3a87a396c85a98a4bd181b63c",
+    "--seed 2": "c60dfc94253ae03bc3dc21f99c76107f2a64a6619041e1f38df6bb71721e96cc",
 }
 
 

@@ -1,11 +1,13 @@
 """Discovery: ansatz bases, nullspace search, annotation.
 
 Soundness bar: a candidate's functional expands to zero (over a common
-denominator where it has one); known-integral matches require a subspace
-projection cosine above 1 - 1e-8.  A numpy SVD of the functional at
-seeded points is the term equations' independent oracle.
+denominator where it has one); a known integral is matched only when it
+is exactly a rational combination of the candidates, and its reported
+coordinates rebuild it.  A numpy SVD of the functional at seeded points
+is the term equations' independent oracle.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -63,21 +65,40 @@ def test_basis_requires_rate_with_weights():
         build_basis(2, UVW, weights=(-1, 0))
 
 
+def _rebuilt(res, annotation):
+    """The combination of candidates an annotation's coordinates name."""
+    cands = res.candidates
+    return ex.expand(
+        ex.add(*[ex.mul(ex.con(Fraction(q)), cands[k].expr) for k, q in annotation["coordinates"]])
+    )
+
+
 def test_lu_transformed_nullspace():
     d = cat.instantiate("lu-transformed")
-    res = first_integral_search(d.bound_field(), build_basis(2, UVW))
+    X = d.bound_field()
+    res = first_integral_search(X, build_basis(2, UVW))
     assert res.nullspace_dim == 3
     exprs = {str(c.expr) for c in res.candidates}
     assert "1" in exprs
-    assert all(c.residual < 1e-8 for c in res.candidates)
-    res = annotate(
-        res,
-        [d.bound_scalar(d.h1), ScalarField(parse("u^2-2*w"), UVW)],
-    )
-    for a in res.annotations:
+    assert all(_functional("first-integral", X, c.expr, "t") == ex.ZERO for c in res.candidates)
+    known = [d.bound_scalar(d.h1), ScalarField(parse("u^2-2*w"), UVW)]
+    res = annotate(res, known)
+    for a, sf in zip(res.annotations, known):
         assert a["expressible"] and a["matched"]
-        assert a["subspace_cosine"] > 1 - 1e-8
-        assert a["best_cosine"] > 1 - 1e-8
+        # each is a multiple of one candidate, rebuilt exactly
+        assert len(a["coordinates"]) == 1
+        assert _rebuilt(res, a) == ex.expand(sf.expr)
+
+
+def test_a_near_miss_is_expressible_but_not_matched():
+    # h1 + u/10^9 is off the span by 1e-9, within any float tolerance
+    d = cat.instantiate("lu-transformed")
+    res = first_integral_search(d.bound_field(), build_basis(2, UVW))
+    near = ScalarField(ex.add(d.bound_scalar(d.h1).expr, parse("u/10^9")), UVW)
+    res = annotate(res, [near, d.bound_scalar(d.h1)])
+    miss, h1 = res.annotations
+    assert miss == {"known": str(near.expr), "expressible": True, "matched": False, "coordinates": []}
+    assert h1["matched"] and h1["coordinates"] == [[2, "1/2"]]
 
 
 def test_qi_recovers_published_integral():
@@ -86,7 +107,7 @@ def test_qi_recovers_published_integral():
     assert res.nullspace_dim == 2
     res = annotate(res, [q.bound_scalar(q.h1)])
     a = res.annotations[0]
-    assert a["matched"] and a["subspace_cosine"] > 1 - 1e-8
+    assert a["matched"] and _rebuilt(res, a) == ex.expand(q.bound_scalar(q.h1).expr)
 
 
 def test_rotation_field_invariants():
@@ -136,15 +157,21 @@ def test_soundness_and_reproducibility():
     d = cat.instantiate("lu-transformed")
     basis = build_basis(2, UVW)
     a = first_integral_search(d.bound_field(), basis, seed=42)
-    b = first_integral_search(d.bound_field(), basis, seed=42)
-    assert a.nullspace == b.nullspace
+    b = first_integral_search(d.bound_field(), basis, seed=7)
     assert [c.coefficients for c in a.candidates] == [
         c.coefficients for c in b.candidates
     ]
-    # sign convention: first significant coefficient positive
+    # reduced row echelon form: each candidate's first nonzero coefficient
+    # is an exact 1, and every candidate is zero at the others' leading columns
+    leads = []
     for row in a.candidates:
-        coeffs = [c for c in row.coefficients if abs(c) > 1e-9]
-        assert coeffs[0] > 0
+        assert all(type(c) is Fraction for c in row.coefficients)
+        lead = next(j for j, c in enumerate(row.coefficients) if c)
+        assert row.coefficients[lead] == 1
+        leads.append(lead)
+    assert leads == sorted(set(leads))
+    for k, row in enumerate(a.candidates):
+        assert [row.coefficients[j] for j in leads] == [int(i == k) for i in range(len(leads))]
 
 
 def test_scale_invariance_of_nullspace():
@@ -152,10 +179,9 @@ def test_scale_invariance_of_nullspace():
     basis = build_basis(2, UVW)
     r1 = first_integral_search(d.bound_field(), basis)
     r2 = first_integral_search(scale(d.bound_field(), ex.con(3)), basis)
-    V1, V2 = np.array(r1.nullspace), np.array(r2.nullspace)
-    assert V1.shape == V2.shape
-    cosines = np.linalg.svd(V1 @ V2.T, compute_uv=False)
-    assert np.all(np.abs(cosines - 1.0) < 1e-8)
+    # the reduced row echelon basis of a span is unique
+    assert r1.nullspace_dim == r2.nullspace_dim == 3
+    assert [c.coefficients for c in r1.candidates] == [c.coefficients for c in r2.candidates]
 
 
 def test_preconditions():
@@ -198,14 +224,19 @@ def test_result_json():
     import json
 
     data = json.loads(res.to_json())
-    assert data["schema"] == 2
+    assert data["schema"] == 3
     assert data["kind"] == "first-integral"
     assert data["method"] == "exact"
     assert data["nullspace_dim"] == 2
     assert data["rank"] == 8 and data["equations"] > 0
     assert data["singular_values"] == [] and data["n"] == 0
     assert len(data["candidates"]) == 2
-    assert all(c["residual"] == 0.0 for c in data["candidates"])
+    for c, cand in zip(data["candidates"], res.candidates):
+        assert set(c) == {"coefficients", "denominator", "expr", "flags"}
+        assert all(type(a) is int for a in c["coefficients"]) and c["denominator"] >= 1
+        assert [Fraction(a, c["denominator"]) for a in c["coefficients"]] == list(cand.coefficients)
+        # the denominator is the least common one
+        assert math.gcd(c["denominator"], *c["coefficients"]) == 1
     assert data["annotations"][0]["matched"] is True
 
 
@@ -230,7 +261,7 @@ def test_nonautonomous_h2_family_experiment():
 
     spatial = annotate(spatial_invariant_search(X, basis), [h2])
     assert spatial.annotations[0]["matched"]
-    assert spatial.annotations[0]["subspace_cosine"] > 1 - 1e-8
+    assert _rebuilt(spatial, spatial.annotations[0]) == ex.expand(h2.expr)
 
 
 def _functional(kind, X, F, time):
@@ -280,11 +311,13 @@ def test_exact_route_agrees_with_the_sampled_oracle(name):
             assert res.method == "exact" and res.singular_values == () and res.n_points == 0
             for c in res.candidates:
                 assert _functional(kind, X, c.expr, d.time) == ex.ZERO, str(c.expr)
-                assert c.residual == 0.0
             oracle = _svd_nullspace(rows, basis)
             assert res.nullspace_dim == len(oracle), (kind, len(basis))
             if res.nullspace_dim:
-                cosines = np.linalg.svd(np.array(res.nullspace) @ oracle.T, compute_uv=False)
+                # an orthonormal basis of the candidate span against the oracle's
+                C = np.array([[float(a) for a in c.coefficients] for c in res.candidates])
+                Q, _ = np.linalg.qr(C.T)
+                cosines = np.linalg.svd(Q.T @ oracle.T, compute_uv=False)
                 assert np.all(np.abs(cosines - 1.0) < 1e-8)
 
 
