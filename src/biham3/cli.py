@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog as cat
 from . import expr as ex
@@ -53,9 +52,9 @@ def _parse_params(pairs):
             raise _Usage(f"--param expects name=value, got {p!r}")
         k, v = p.split("=", 1)
         try:
-            out[k.strip()] = Fraction(v.strip())
-        except (ValueError, ZeroDivisionError):
-            raise _Usage(f"cannot parse parameter value {v!r}")
+            out[k.strip()] = ex.number(v)
+        except ex.ParseError as err:
+            raise _Usage(f"--param {k.strip()}: {err}")
     return out
 
 

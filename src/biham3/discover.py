@@ -16,14 +16,14 @@ terms of the rows then give one equation per distinct term, solved over
 the rationals by sparse Gauss-Jordan elimination (Geddes, Czapor &
 Labahn, Algorithms for Computer Algebra, 1992, ch. 2-3).  A vector whose
 term coefficients all cancel makes sum_j c_j r_j the literal zero, so
-every candidate is an identity.  When every term is a rational multiple
-of a monomial (integer powers of the frame and time variables, negative
-ones included, so ``v/u`` is one) times at most one exp of a sum of
-monomials without constant term, distinct terms are linearly independent
-functions, the term equations give the whole nullspace, and the report's
-method is "exact".  Other terms (ln, sin, cos, a parameter, or a sum
-inside a function) can be dependent, as ``sin(u)^2`` and ``cos(u)^2``
-are, and then the term equations could miss a solution: the functional
+every candidate is an identity.  When every term is in the class that
+:func:`biham3.expr.independent` defines (a rational multiple of a
+Laurent monomial times at most one exp of a sum of monomials without
+constant term), distinct terms are linearly independent functions, the
+term equations give the whole nullspace, and the report's method is
+"exact".  Other terms (ln, sin, cos, a parameter, or a sum inside a
+function) can be dependent, as ``sin(u)^2`` and ``cos(u)^2`` are, and
+then the term equations could miss a solution: the functional
 is evaluated at seeded points, one SVD with a relative singular-value
 threshold must show the same nullity, and the method is "sampled".  A
 nullity that differs raises DiscoveryError.
@@ -45,6 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
+from .expr import independent, split_coeff, split_exp, terms
 from .sampling import SeededSampler, sample_box
 from .vecfield import ScalarField, VectorField3, divergence, scale
 
@@ -198,20 +199,6 @@ def _default_domain(frame, time):
     return box
 
 
-def _terms(e):
-    return e.terms if isinstance(e, ex.Add) else (e,)
-
-
-def _weight(e):
-    """Split a basis element into (m, w) with e = m*w, where w is its exp
-    factor, or None when it has none."""
-    if isinstance(e, ex.Exp):
-        return ex.ONE, e
-    if isinstance(e, ex.Mul) and isinstance(e.factors[-1], ex.Exp):
-        return ex.mul(*e.factors[:-1]), e.factors[-1]
-    return e, None
-
-
 def _derivative_rows(X, basis, total):
     """grad(b).X for each basis element b, plus db/dt when ``total``, each
     expanded.
@@ -224,7 +211,7 @@ def _derivative_rows(X, basis, total):
     spatial = {}
     rows = []
     for b in basis.elements:
-        m, w = _weight(b.expr)
+        m, w = split_exp(b.expr)
         if w is not None and w.arg.free_symbols() & frame:
             m, w = b.expr, None
         g = spatial.get(m)
@@ -236,7 +223,7 @@ def _derivative_rows(X, basis, total):
             parts = [g]
         else:
             w = ex.expand(w)
-            parts = [ex.mul(term, w) for term in _terms(g)]
+            parts = [ex.mul(term, w) for term in terms(g)]
         if total:
             parts.append(ex.expand(ex.differentiate(b.expr, basis.time)))
         rows.append(ex.add(*parts))
@@ -247,53 +234,26 @@ def _multiplier_rows(X, basis):
     return [ex.expand(divergence(scale(X, b.expr)).expr) for b in basis.elements]
 
 
-def _monomial(e, names):
-    """Whether ``e`` is a product of integer powers of the variables ``names``."""
-    for f in e.factors if isinstance(e, ex.Mul) else (e,):
-        if isinstance(f, ex.Pow):
-            f = f.base
-        if not (isinstance(f, ex.Var) and f.name in names):
-            return False
-    return True
-
-
-def _independent(rest, names):
-    """Whether a canonical term with its coefficient split off is a
-    monomial in the variables ``names`` times at most one exp of a sum of
-    such monomials without constant term.  Distinct terms of this form
-    are linearly independent functions."""
-    if rest is ex.ONE:
-        return True
-    factors = rest.factors if isinstance(rest, ex.Mul) else (rest,)
-    if isinstance(factors[-1], ex.Exp):
-        for t in _terms(factors[-1].arg):
-            _, mono = ex._split_coeff(t)
-            if mono is ex.ONE or not _monomial(mono, names):
-                return False
-        factors = factors[:-1]
-    return all(_monomial(f, names) for f in factors)
-
-
-def _exact_nullspace(rows, names):
+def _exact_nullspace(rows):
     """The nullspace of the rows' term equations over the rationals.
 
-    Returns (vectors, equations, independent): Fraction lists in reduced
-    row echelon form, the number of distinct terms, and whether every
-    term is _independent, so that the vectors span the whole nullspace
-    of the rows as functions.  Each equation is reduced by the pivots so
+    Returns (vectors, equations, exact): Fraction lists in reduced row
+    echelon form, the number of distinct terms, and whether every term is
+    ``expr.independent``, so that the vectors span the whole nullspace of
+    the rows as functions.  Each equation is reduced by the pivots so
     far at its largest column and becomes a pivot there, so the free
     columns, which index the vectors, come as early as they can and each
     vector has its leading 1 at its own free column."""
     eqs = {}  # term key -> {column: coefficient}
-    independent = True
+    exact = True
     for j, row in enumerate(rows):
-        for t in _terms(row):
-            c, rest = ex._split_coeff(t)
+        for t in terms(row):
+            c, rest = split_coeff(t)
             if c == 0:
                 continue
             eq = eqs.get(rest.key())
             if eq is None:
-                independent = independent and _independent(rest, names)
+                exact = exact and independent(rest)
                 eq = eqs[rest.key()] = {}
             eq[j] = c
     pivots = {}  # column -> equation scaled to 1 there, nonzero only at or left of it
@@ -323,12 +283,11 @@ def _exact_nullspace(rows, names):
             if p > free:
                 v[p] = -sum((c * v[j] for j, c in pivots[p].items() if j != p), Fraction(0))
         vectors.append(v)
-    return vectors, len(eqs), independent
+    return vectors, len(eqs), exact
 
 
 def _combination(coeffs, basis):
-    terms = [ex.mul(ex.con(c), b.expr) for c, b in zip(coeffs, basis.elements) if c]
-    return ex.add(*terms) if terms else ex.ZERO
+    return ex.add(*[ex.mul(ex.con(c), b.expr) for c, b in zip(coeffs, basis.elements) if c])
 
 
 def _nullity_check(rows, basis, n, seed, nullity):
@@ -360,17 +319,17 @@ def _nullity_check(rows, basis, n, seed, nullity):
 def _search(kind, basis, rows, n, seed):
     n = sample_count(len(basis), n)
     rows = ex.clear_denominators(rows)
-    vectors, equations, independent = _exact_nullspace(rows, set(basis.frame) | {basis.time})
-    svals = () if independent else _nullity_check(rows, basis, n, seed, len(vectors))
+    vectors, equations, exact = _exact_nullspace(rows)
+    svals = () if exact else _nullity_check(rows, basis, n, seed, len(vectors))
     return DiscoveryResult(
         kind=kind,
         basis=basis,
-        method="exact" if independent else "sampled",
+        method="exact" if exact else "sampled",
         nullspace_dim=len(vectors),
         candidates=tuple(Candidate(tuple(v), _combination(v, basis)) for v in vectors),
         singular_values=svals,
         seed=seed,
-        n_points=0 if independent else n,
+        n_points=0 if exact else n,
         equations=equations,
     )
 
@@ -434,8 +393,8 @@ def _coordinates(e, index):
     a basis element; ``index`` maps each element's term key to (position,
     coefficient)."""
     kappa = {}
-    for t in _terms(ex.expand(e)):
-        c, rest = ex._split_coeff(t)
+    for t in terms(ex.expand(e)):
+        c, rest = split_coeff(t)
         if c == 0:
             continue
         hit = index.get(rest.key())
@@ -457,7 +416,7 @@ def annotate(result: DiscoveryResult, known):
     """
     index = {}
     for j, b in enumerate(result.basis.elements):
-        c, rest = ex._split_coeff(ex.expand(b.expr))
+        c, rest = split_coeff(ex.expand(b.expr))
         index[rest.key()] = (j, c)
     # the nonzero entries of each candidate; the first is its leading 1
     sparse = [[(j, c) for j, c in enumerate(cand.coefficients) if c] for cand in result.candidates]

@@ -33,9 +33,15 @@ terms with rational coefficients, summing the integer exponents of equal
 bases (so ``u*(1/u)`` is 1), and ``exp(a)*exp(b) -> exp(a+b)``.  Trees
 built through this module are therefore always in normal form,
 ``simplify`` re-normalizes defensively, and any expression that cancels
-under those rules is the literal zero constant.  ``expand`` additionally
-distributes products and positive integer powers over sums (a power of
-a sum by the multinomial theorem).  It is
+under those rules is the literal zero constant.  No factor of a
+canonical product is a product and no term of a canonical sum is a sum,
+so ``add`` and ``mul`` read their arguments in one flat loop.  Other
+modules take a canonical tree apart with ``terms``, ``split_coeff`` and
+``split_exp`` only, and ``independent`` is the one definition of the
+terms whose distinct instances are independent functions.
+
+``expand`` additionally distributes products and positive integer powers
+over sums (a power of a sum by the multinomial theorem).  It is
 idempotent, and it marks each of its results, so expanding an expanded
 tree again returns it at once.  Sums over different denominators are
 not brought to a common one, so ``1/(1+u) + 1/(1-u) - 2/(1-u^2)`` does
@@ -51,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,9 +127,6 @@ class Expr:
         return self is other or (
             type(self) is type(other) and self._payload() == other._payload()
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         if self._hash is None:
@@ -201,9 +205,6 @@ class Const(Expr):
 
     def _make_key(self):
         return (0, self.value)
-
-    def _collect_symbols(self):
-        return frozenset()
 
 
 class Param(Expr):
@@ -374,7 +375,12 @@ def _coerce(x):
     return con(x)
 
 
-def _split_coeff(t):
+def terms(e):
+    """The terms of a canonical expression: a sum's, or ``(e,)``."""
+    return e.terms if isinstance(e, Add) else (e,)
+
+
+def split_coeff(t):
     """Decompose a canonical term into (rational coefficient, rest)."""
     if isinstance(t, Const):
         return t.value, ONE
@@ -384,6 +390,16 @@ def _split_coeff(t):
             return t.factors[0].value, rest[0]
         return t.factors[0].value, Mul(rest)
     return 1, t
+
+
+def split_exp(t):
+    """Split a canonical term into (m, w) with t = m*w, where w is its exp
+    factor, or None when it has none."""
+    fs = t.factors if isinstance(t, Mul) else (t,)
+    for i, f in enumerate(fs):
+        if isinstance(f, Exp):
+            return mul(*fs[:i], *fs[i + 1 :]), f
+    return t, None
 
 
 def _with_coeff(c, rest):
@@ -397,83 +413,63 @@ def _with_coeff(c, rest):
 
 
 def add(*xs):
-    buckets = {}
-    order = []
+    buckets = {}  # key of a term's rest -> [summed coefficient, rest]
     const = 0
-
-    def acc(t):
-        nonlocal const
+    work = []
+    for x in xs:
+        x = _coerce(x)
+        work.extend(x.terms if isinstance(x, Add) else (x,))
+    # a work list, read as it grows: the loop appends the terms that a
+    # rational multiple of a sum distributes into the enclosing sum, so
+    # that compound x - x collapses to zero
+    for t in work:
         if isinstance(t, Const):
             const += t.value
-            return
-        c, rest = _split_coeff(t)
+            continue
+        c, rest = split_coeff(t)
         if isinstance(rest, Add):
-            # a rational multiple of a sum distributes into the enclosing
-            # sum, so that compound x - x collapses to zero
-            for sub_ in rest.terms:
-                acc(mul(Const(c), sub_))
-            return
+            work.extend(mul(Const(c), s) for s in rest.terms)
+            continue
         k = rest.key()
         if k in buckets:
             buckets[k][0] += c
         else:
             buckets[k] = [c, rest]
-            order.append(k)
 
-    for x in xs:
-        x = _coerce(x)
-        if isinstance(x, Add):
-            for t in x.terms:
-                acc(t)
-        else:
-            acc(x)
-
-    terms = [_with_coeff(c, rest) for c, rest in (buckets[k] for k in order) if c != 0]
+    out = [_with_coeff(c, rest) for c, rest in buckets.values() if c != 0]
     if const != 0:
-        terms.append(Const(const))
-    terms.sort(key=Expr.key)
-    if not terms:
+        out.append(Const(const))
+    out.sort(key=Expr.key)
+    if not out:
         return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
+    if len(out) == 1:
+        return out[0]
+    return Add(tuple(out))
 
 
 def mul(*xs):
     coeff = 1
     exp_args = []
-    bases = {}
-    order = []
-
-    def bump(base, e):
-        k = base.key()
-        if k in bases:
-            bases[k][1] += e
-        else:
-            bases[k] = [base, e]
-            order.append(k)
-
-    def feed(f):
-        nonlocal coeff
-        if isinstance(f, Const):
-            coeff *= f.value
-        elif isinstance(f, Mul):
-            for g in f.factors:
-                feed(g)
-        elif isinstance(f, Exp):
-            exp_args.append(f.arg)
-        elif isinstance(f, Pow):
-            bump(f.base, f.exponent)
-        else:
-            bump(f, 1)
-
+    bases = {}  # key of a base -> [base, summed exponent]
     for x in xs:
-        feed(_coerce(x))
+        x = _coerce(x)
+        for f in x.factors if isinstance(x, Mul) else (x,):
+            if isinstance(f, Const):
+                coeff *= f.value
+            elif isinstance(f, Exp):
+                exp_args.append(f.arg)
+            else:
+                base, e = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
+                k = base.key()
+                if k in bases:
+                    bases[k][1] += e
+                else:
+                    bases[k] = [base, e]
     if coeff == 0:
         return ZERO
 
     factors = []
-    for base, e in (bases[k] for k in order):
+    for base, e in bases.values():
         if e == 0:
             continue
         p = pow_(base, e)
@@ -502,14 +498,10 @@ def mul(*xs):
 
 def pow_(b, n):
     b = _coerce(b)
-    if isinstance(n, Expr):
-        if not (isinstance(n, Const) and n.value.denominator == 1):
-            raise ExprError(f"exponent must be an integer constant: {n}")
-        n = int(n.value)
-    if isinstance(n, float):
-        if n != int(n):
-            raise ExprError(f"exponent must be an integer: {n}")
-        n = int(n)
+    if isinstance(n, Const):
+        n = n.value
+    if isinstance(n, Expr) or n != int(n):
+        raise ExprError(f"exponent must be an integer constant: {n}")
     n = int(n)
     if n == 1:
         return b
@@ -633,23 +625,7 @@ def substitute(e, mapping):
     mapping = {k: _coerce(v) for k, v in mapping.items()}
     if not (e.free_symbols() & set(mapping)):
         return e
-
-    def walk(n):
-        if isinstance(n, (Var, Param)):
-            return mapping.get(n.name, n)
-        if isinstance(n, Const):
-            return n
-        if isinstance(n, Add):
-            return add(*[walk(t) for t in n.terms])
-        if isinstance(n, Mul):
-            return mul(*[walk(f) for f in n.factors])
-        if isinstance(n, Pow):
-            return pow_(walk(n.base), n.exponent)
-        if isinstance(n, _Func):
-            return _FUNC_BUILDERS[n.fname](walk(n.arg))
-        raise ExprError(f"cannot substitute into node {type(n).__name__}")
-
-    return expand(walk(e))
+    return expand(_rebuild(e, mapping))
 
 
 def simplify(e):
@@ -657,17 +633,25 @@ def simplify(e):
 
     Idempotent; trees built through this module are already canonical.
     """
-    if isinstance(e, (Const, Var, Param)):
-        return e
-    if isinstance(e, Add):
-        return add(*[simplify(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[simplify(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), e.exponent)
-    if isinstance(e, _Func):
-        return _FUNC_BUILDERS[e.fname](simplify(e.arg))
-    raise ExprError(f"cannot simplify node {type(e).__name__}")
+    return _rebuild(e, {})
+
+
+def _rebuild(n, mapping):
+    """``n`` rebuilt bottom-up through the canonical constructors, with
+    each symbol named in ``mapping`` replaced by its expression."""
+    if isinstance(n, (Var, Param)):
+        return mapping.get(n.name, n)
+    if isinstance(n, Const):
+        return n
+    if isinstance(n, Add):
+        return add(*[_rebuild(t, mapping) for t in n.terms])
+    if isinstance(n, Mul):
+        return mul(*[_rebuild(f, mapping) for f in n.factors])
+    if isinstance(n, Pow):
+        return pow_(_rebuild(n.base, mapping), n.exponent)
+    if isinstance(n, _Func):
+        return _FUNC_BUILDERS[n.fname](_rebuild(n.arg, mapping))
+    raise ExprError(f"cannot rebuild node {type(n).__name__}")
 
 
 def _check_terms(n):
@@ -766,10 +750,6 @@ def _expand(e):
     raise ExprError(f"cannot expand node {type(e).__name__}")
 
 
-def _summands(e):
-    return e.terms if isinstance(e, Add) else (e,)
-
-
 def clear_denominators(exprs):
     """The expanded ``exprs``, each multiplied by one common denominator
     and expanded again until no term holds a sum to a negative power;
@@ -786,14 +766,14 @@ def clear_denominators(exprs):
     while True:
         powers = {}
         for e in exprs:
-            for t in _summands(e):
+            for t in terms(e):
                 for f in t.factors if isinstance(t, Mul) else (t,):
                     if isinstance(f, Pow) and f.exponent < 0 and isinstance(f.base, Add):
                         powers[f.base] = min(powers.get(f.base, 0), f.exponent)
         if not powers:
             return exprs
         d = mul(*[pow_(b, -n) for b, n in powers.items()])
-        exprs = [expand(add(*[mul(t, d) for t in _summands(e)])) for e in exprs]
+        exprs = [expand(add(*[mul(t, d) for t in terms(e)])) for e in exprs]
 
 
 def is_zero(e):
@@ -810,6 +790,33 @@ def is_zero(e):
         return clear_denominators((e,))[0] == ZERO
     except LimitError:
         return False
+
+
+def _laurent(e):
+    """Whether ``e`` is a rational multiple of a product of integer powers
+    of variables."""
+    return all(
+        isinstance(f.base if isinstance(f, Pow) else f, (Var, Const))
+        for f in (e.factors if isinstance(e, Mul) else (e,))
+    )
+
+
+def independent(t):
+    """Whether the canonical term ``t`` is, up to its rational coefficient,
+    a Laurent monomial (integer powers of variables, negative ones
+    included, so ``v/u`` is one) times at most one exp of a sum of Laurent
+    monomials without a constant term.
+
+    This is the one definition of the class in which distinct terms are
+    linearly independent functions, so that a sum of such terms is zero
+    only when every coefficient of its normal form is.  Any other term (an
+    ln, sin or cos, a parameter, a sum inside a power or a function, an
+    exp with a constant term) can depend on others, as ``sin(u)^2``,
+    ``cos(u)^2`` and 1 do."""
+    m, w = split_exp(t)
+    return _laurent(m) and (
+        w is None or all(not isinstance(a, Const) and _laurent(a) for a in terms(w.arg))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +1028,7 @@ def _render_raw(e):
         return f"{_render(e.base, _PREC_ATOM)}^{e.exponent}"
     if isinstance(e, (Mul, Pow)):
         # negative powers, with the coefficient's denominator, go below a /
-        c, rest = _split_coeff(e)
+        c, rest = split_coeff(e)
         sign = "-" if c < 0 else ""
         c = abs(c)
         num, den = [], []
@@ -1042,7 +1049,7 @@ def _render_raw(e):
     if isinstance(e, Add):
         out = _render(e.terms[0], _PREC_ADD)
         for t in e.terms[1:]:
-            c, rest = _split_coeff(t)
+            c, rest = split_coeff(t)
             if c < 0:
                 out += " - " + _render(_with_coeff(-c, rest), _PREC_MUL)
             else:
@@ -1083,6 +1090,36 @@ def _tokenize(text):
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+# a NUMBER with an optional sign, or a quotient of integers: the text that
+# ``Fraction`` reads, without digit separators
+_NUMBER_RE = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?\d+))?)\s*")
+
+
+def number(text, at=0):
+    """The exact rational of a NUMBER with an optional sign (``-0.5``,
+    ``1e-6``), or of a quotient of two integers (``1/3``).  Raises
+    ParseError, at position ``at``, for other text and, before building
+    it, for a number past the cap of a constant power (MAX_EXPONENT**2
+    bits, counted from its digits and exponent) or longer than Python's
+    digit limit (``sys.get_int_max_str_digits``)."""
+    m = _NUMBER_RE.fullmatch(text)
+    if m is None:
+        raise ParseError(f"not a number: {text!r}", at)
+    sign, whole, den, frac, exponent = m.groups()
+    digits = whole + (frac or "")
+    try:
+        shift = int(exponent or 0) - len(frac or "")
+        if (len(digits) + len(den or "") + abs(shift)) * math.log2(10) > MAX_EXPONENT**2:
+            raise ParseError(f"number exceeds {MAX_EXPONENT**2} bits", at)
+        p = int(digits) * 10 ** max(shift, 0)
+        q = int(den) if den else 10 ** max(-shift, 0)
+    except ValueError:  # past the digit limit of int()
+        raise ParseError(f"number longer than {sys.get_int_max_str_digits()} digits", at) from None
+    if q == 0:
+        raise ParseDomainError("division by the zero constant", at)
+    return Fraction(-p if sign == "-" else p, q)
 
 
 class _Parser:
@@ -1172,7 +1209,7 @@ class _Parser:
     def atom(self):
         kind, val, at = self.take()
         if kind == "num":
-            return Const(Fraction(val))
+            return Const(number(val, at))
         if kind == "ident":
             nkind, nval, _ = self.peek()
             if nkind == "op" and nval == "(":

@@ -41,6 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import expr as ex
+from .expr import terms
 from .sampling import SeededSampler, random_polynomial, sample_box, verification_box
 from .vecfield import ScalarField, VectorField3, dot, gradient
 from .poisson import (
@@ -242,11 +243,11 @@ def _decide(name, residuals, points, tol):
     if all(map(ex.is_zero, residuals)):
         return CheckResult(name, 0, 0.0, 0.0, 0.0, tol, True, "exact")
     names, pts = points()
-    terms = [r.terms if isinstance(r, ex.Add) else (r,) for r in residuals]
-    T = ex.compile_array([t for ts in terms for t in ts], names)(pts)
+    groups = [terms(r) for r in residuals]
+    T = ex.compile_array([t for ts in groups for t in ts], names)(pts)
     columns = iter(T.T)
     R = np.abs(
-        np.column_stack([functools.reduce(operator.add, islice(columns, len(ts))) for ts in terms])
+        np.column_stack([functools.reduce(operator.add, islice(columns, len(ts))) for ts in groups])
     )
     rel = (R / (1.0 + np.abs(T).max(axis=1))[:, None]).max(axis=1)
     i = int(np.argmax(rel))

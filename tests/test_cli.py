@@ -345,6 +345,23 @@ def test_bracket_expression_errors_are_usage_errors(capsys, f, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bracket", "--j", "0;0;1", "--f", "1" * 5000 + "*u", "--h", "v"], "number longer than"),
+        (["bracket", "--j", "0;0;1", "--f", "1e10000000*u", "--h", "v"], "number exceeds"),
+        (["verify", "qi", "--param", "gamma=1e10000000"], "--param gamma: number exceeds"),
+    ],
+    ids=["digits", "exponent", "param-exponent"],
+)
+def test_numbers_past_the_cap_are_usage_errors(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_system_past_the_term_cap_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "big.system"
     path.write_text("name = big\nframe = u v w\nfield = v ; -u ; 0\nh1 = (u+v+w+1)^40\nh2 = w\n")

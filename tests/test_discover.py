@@ -36,14 +36,14 @@ UVW = ("u", "v", "w")
 
 def test_exact_nullspace_divides_exactly():
     # 3a + 2b = 0 pivots on the 2 at column 1: b = -3/2 a
-    vectors, equations, independent = _exact_nullspace([parse("3*u"), parse("2*u")], UVW)
+    vectors, equations, independent = _exact_nullspace([parse("3*u"), parse("2*u")])
     assert (vectors, equations, independent) == ([[1, Fraction(-3, 2)]], 1, True)
     assert all(type(c) is Fraction for c in vectors[0])
-    vectors, _, _ = _exact_nullspace([parse("2*u + 4*v"), parse("3*u"), parse("6*v")], UVW)
+    vectors, _, _ = _exact_nullspace([parse("2*u + 4*v"), parse("3*u"), parse("6*v")])
     assert all(type(c) is Fraction for v in vectors for c in v)
     assert vectors == [[1, Fraction(-2, 3), Fraction(-2, 3)]]
     # a sin term is solved as its own equation, but may depend on others
-    assert _exact_nullspace([parse("sin(u)"), parse("-sin(u)")], UVW) == ([[1, 1]], 1, False)
+    assert _exact_nullspace([parse("sin(u)"), parse("-sin(u)")]) == ([[1, 1]], 1, False)
 
 
 def test_basis_counts():

@@ -7,7 +7,9 @@ identities.
 """
 
 import functools
+import gc
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +110,11 @@ def test_parse_rejects_non_integer_exponents():
         parse("u^(1/2)")
     with pytest.raises(NonIntegerExponentError):
         parse("u^v")
+    # the constructor refuses them too, also as a Fraction or a float
+    for n in (Fraction(3, 2), 1.5, ex.con(Fraction(1, 2)), ex.var("v")):
+        with pytest.raises(ex.ExprError, match="exponent must be an integer"):
+            ex.pow_(ex.var("u"), n)
+    assert ex.pow_(ex.var("u"), Fraction(4)) == ex.pow_(ex.var("u"), 4.0) == parse("u^4")
 
 
 def test_parse_rejects_unknown_functions():
@@ -174,6 +181,67 @@ def test_cancellation_to_zero():
 
 def test_exponential_merge():
     assert parse("exp(-t)*exp(t)*w") == ex.var("w")
+
+
+def test_exponential_merge_sums_every_argument():
+    u, v, w = map(ex.var, "uvw")
+    assert ex.mul(ex.exp_(u), ex.exp_(v), ex.exp_(w)) == ex.exp_(parse("u + v + w"))
+    # a product that already holds an exp, times two more
+    assert ex.mul(ex.mul(w, ex.exp_(u)), ex.exp_(v), ex.exp_(w)) == parse("w*exp(u + v + w)")
+    assert parse("exp(u)*exp(v)*exp(-u-v)") == ex.ONE
+
+
+def test_normal_form_leaves_no_reference_cycle():
+    # add, mul and substitute build no closure that refers to itself, so
+    # the trees they make are freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        e = parse("(u + v*exp(t))^3*(1/(1 + w) - sin(u)) - 2*(u - v)^2")
+        x = expand(e)
+        ex.add(x, ex.mul(-1, x), ex.mul(2, ex.add(e, ex.ONE)))
+        substitute(x, {"u": parse("v*exp(-alpha*t)")})
+        simplify(differentiate(x, "u"))
+        del e, x
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("1", True),
+        ("u^2*v/w^3", True),
+        ("-3/2*u/v", True),
+        ("exp(u)", True),
+        ("u*exp(2*u*v - t/w)", True),
+        ("u*exp(u + 1)", False),
+        ("ln(u)", False),
+        ("v*sin(u)", False),
+        ("cos(u)", False),
+        ("alpha*u", False),
+        ("exp(alpha*t)", False),
+        ("1/(1 + u)", False),
+        ("exp((u + v)^2)", False),
+    ],
+)
+def test_independent_terms(text, want):
+    assert ex.independent(parse(text)) is want
+
+
+def test_numbers_past_the_cap_are_parse_errors():
+    for text, message in [
+        ("1" * 5000 + "*u", "number longer than"),
+        ("1e10000000*u", "number exceeds 1000000 bits"),
+        ("2.5e-10000000", "number exceeds 1000000 bits"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=message):
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+    assert ex.number(" -1/3 ") == Fraction(-1, 3) and ex.number("2.50e1") == 25
+    assert parse("1" * 4000) == ex.con(int("1" * 4000))
 
 
 def test_divergence_of_corrected_lu_field_is_zero():
@@ -403,9 +471,9 @@ def test_integral_constants_are_int_and_others_fraction():
     quarter = ex.pow_(ex.con(2), -2)
     assert type(quarter.value) is Fraction and quarter.value == Fraction(1, 4)
     assert ex.pow_(ex.con(3), -2).value == Fraction(1, 9)  # 3**-2 as a float is inexact
-    c, rest = ex._split_coeff(ex.quot(ex.var("u"), 3))
+    c, rest = ex.split_coeff(ex.quot(ex.var("u"), 3))
     assert type(c) is Fraction and c == Fraction(1, 3) and rest == ex.var("u")
-    assert ex._split_coeff(ex.var("u")) == (1, ex.var("u"))
+    assert ex.split_coeff(ex.var("u")) == (1, ex.var("u"))
     # every constant of a normal form is an int or a non-integral Fraction
     sampler = SeededSampler(7)
     exprs = catalog_expressions() + [random_expression(sampler, ("u", "v", "w", "t"), 5) for _ in range(300)]
