@@ -64,7 +64,6 @@ from .integrate import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
-    convergence_order,
     ensemble,
 )
 from .verify import (

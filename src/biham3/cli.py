@@ -5,9 +5,10 @@ checks, JSON report), ``simulate`` (trajectory CSV with conserved-
 quantity monitors), ``discover`` (integral/multiplier nullspace search,
 JSON report), ``bracket`` (one-off Poisson bracket evaluation).
 
-Exit codes: 0 success, 1 check failure or integration abort, 2 usage
-error.  The environment variable ``BIHAM3_SEED`` overrides the default
-sampling seed of ``verify`` and ``discover``.
+Exit codes: 0 success, 1 check failure, integration abort or a reader
+that closed stdout early, 2 usage error.  The environment variable
+``BIHAM3_SEED`` overrides the default sampling seed of ``verify`` and
+``discover``.
 """
 
 from __future__ import annotations
@@ -141,7 +142,12 @@ def _cmd_simulate(args):
     except IntegrationError as err:
         raise _Usage(str(err))
     traj = integrate(defn.bound_field(), cfg, monitors=monitors)
-    _write(traj.to_csv(), args.out)
+    # streamed a block of rows at a time, never held as one string
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            traj.to_csv(fh)
+    else:
+        traj.to_csv(sys.stdout)
     if not traj.ok():
         print(f"integration aborted: {traj.aborted}", file=sys.stderr)
         return 1
@@ -309,6 +315,11 @@ def main(argv=None):
         return 2
     except (DiscoveryError, IntegrationError, ex.ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout stopped early (``| head``); stdout goes to
+        # the null device, or the interpreter's last flush fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

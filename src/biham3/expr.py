@@ -1014,12 +1014,21 @@ def _render(e, ctx_prec):
     return s
 
 
+def _digits(n):
+    """``str(n)``; LimitError past Python's digit limit, which the parser
+    also keeps, so printed text re-parses."""
+    try:
+        return str(n)
+    except ValueError:
+        raise LimitError(f"constant longer than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _render_raw(e):
     if isinstance(e, Const):
         v = e.value
         if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+            return _digits(v.numerator)
+        return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
     if isinstance(e, (Var, Param)):
         return e.name
     if isinstance(e, _Func):

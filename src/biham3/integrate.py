@@ -11,15 +11,17 @@ accuracy follows the step-error control.
 The adaptive loop is generated Python source, one kernel per state
 dimension (3 plus the number of quadratures), built with ``exec`` once
 per :func:`integrate` or :func:`ensemble` call and never at import.  It
-unrolls the seven stages, the fifth-order update, the error norm and
-the dense output over scalar locals, calls the compiled right-hand side
-once per stage with positional scalars, and evaluates the seven
-dense-output weights once per sample.  It performs the same float
-operations in the same order as the generic stage loop it replaced
-(``sum()`` over the tableau rows, zero coefficients included), so
-trajectories, monitors and step counts are bit-identical to that loop's;
-``tests/test_integrate.py`` pins their digests.  An ensemble compiles
-the right-hand side, the monitors and the kernel once for all members.
+unrolls the seven stages, the fifth-order update and the error norm over
+scalar locals and calls the compiled right-hand side once per stage with
+positional scalars.  It performs the same float operations in the same
+order as the generic stage loop it replaced (``sum()`` over the tableau
+rows, zero coefficients included), so trajectories, monitors and step
+counts are bit-identical to that loop's; ``tests/test_integrate.py``
+pins their digests.  The kernel evaluates no dense output: it records
+each accepted step that reaches a sample time, and one numpy function,
+``_dense``, turns the recorded steps into samples, with the scalar
+formula's float operations in its order.  An ensemble compiles the
+right-hand side, the monitors and the kernel once for all members.
 
 An ensemble's adaptive members that share ``(t0, t1, sample_dt)`` are
 stepped together, once there are ``_BATCH_MIN`` of them, by a lockstep
@@ -32,18 +34,19 @@ ensemble every member takes the same steps and its states agree to about
 alone by the scalar kernel; everything else (smaller groups, rk4
 members, :func:`integrate`) only ever runs the scalar kernel.
 
-A :class:`Trajectory` holds its samples as numpy float64 arrays.  The
-scalar kernel appends to lists, which each run converts once at its end;
-each batched member copies its rows out of its group's sample block, so
-no member keeps that block alive.  A pass of the lockstep kernel costs
-numpy calls, not arithmetic, so it makes few of them and keeps their
-operands C-contiguous: each tableau sum is one ``np.add.reduce`` that
-adds its rows in the scalar order, the step control clamps with
-``np.fmin``/``np.fmax``, and the stages are computed into one table of
-kept steps.  Every ``_DENSE_PASSES`` passes, ``_dense`` gathers that
-table's columns with ``np.take`` and evaluates the dense output of all
-the kept steps at once, with the scalar kernel's weights and sums in
-their order.
+A :class:`Trajectory` holds its samples as numpy float64 arrays, and no
+run keeps a Python object per sample.  The scalar kernel's steps go to
+``_dense`` ``_DENSE_STEPS`` at a time, which writes their samples into
+one preallocated array; the monitors are called on one ``_BLOCK`` of
+rows at a time, and :meth:`Trajectory.to_csv` formats and writes one
+block at a time.  Each batched member copies its rows out of its group's
+sample block, so no member keeps that block alive.  A pass of the
+lockstep kernel costs numpy calls, not arithmetic, so it makes few of
+them and keeps their operands C-contiguous: each tableau sum is one
+``np.add.reduce`` that adds its rows in the scalar order, the step
+control clamps with ``np.fmin``/``np.fmax``, and the stages are computed
+into one table of kept steps.  Every ``_DENSE_PASSES`` passes, ``_dense``
+evaluates the dense output of all the kept steps at once.
 
 Everything here is deterministic: no randomness, fixed evaluation
 order.  Identical configurations produce bit-identical trajectories,
@@ -51,12 +54,14 @@ within one batch as well as on the scalar kernel.
 
 [1] Dormand & Prince, J. Comp. Appl. Math. 6 (1980) 19-26.
 [2] Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
-    2nd ed., Springer 1993, section II.4.
+    2nd ed., Springer 1993, sections II.4 (step control) and II.6 (dense
+    output).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +110,7 @@ _RHS_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 MAX_POINTS = 10**6  # adaptive: sample rows and (t1 - t0)/max_step; rk4: steps
 MIN_STEP = 1e-13  # an adaptive step below this aborts the run
-_CSV_BLOCK = 1024  # rows per block of Trajectory.to_csv
+_BLOCK = 1024  # rows per block of the monitors and of Trajectory.to_csv
 
 
 class IntegrationError(Exception):
@@ -188,17 +193,22 @@ class Trajectory:
     def ok(self):
         return self.aborted is None
 
-    def to_csv(self):
-        """Full-precision CSV: header t,<v1>,<v2>,<v3>[,monitor...]."""
+    def to_csv(self, fh=None):
+        """Full-precision CSV: header t,<v1>,<v2>,<v3>[,monitor...].
+
+        Rows are formatted ``_BLOCK`` at a time, so only one block of them
+        is ever held as Python objects.  Each block is written to ``fh``
+        as soon as it is formatted; with no ``fh`` the text is returned."""
+        parts = []
+        write = parts.append if fh is None else fh.write
         names = list(self.monitors)
         row = ",".join(["%.17g"] * (4 + len(names))) + "\n"
-        table = np.column_stack([self.times, self.states, *self.monitors.values()])
-        # rows are formatted a block at a time, so only one block of them
-        # is ever held as Python floats
-        out = [",".join(["t", *self.frame, *names]) + "\n"]
-        for k in range(0, len(table), _CSV_BLOCK):
-            out.append("".join([row % tuple(values) for values in table[k : k + _CSV_BLOCK].tolist()]))
-        return "".join(out)
+        columns = (self.times, self.states, *self.monitors.values())
+        write(",".join(["t", *self.frame, *names]) + "\n")
+        for k in range(0, len(self.times), _BLOCK):
+            table = np.column_stack([c[k : k + _BLOCK] for c in columns]).tolist()
+            write("".join([row % tuple(values) for values in table]))
+        return "".join(parts) if fh is None else None
 
 
 def _compile_rhs(X: VectorField3, quadratures):
@@ -258,7 +268,7 @@ def ensemble(X, configs, monitors=None, quadratures=None):
     if groups:
         names = X.frame + (X.time,)
         f = ex.compile_columns([c.expr for c in X.components] + [sf.expr for _, sf in quadratures], names)
-        mon = ex.compile_array([sf.expr for _, sf in monitors], names)
+        mon = ex.compile_columns([sf.expr for _, sf in monitors], names)
         mon_names = [name for name, _ in monitors]
         for members in groups:
             cfgs = [configs[n] for n in members]
@@ -277,46 +287,90 @@ def ensemble(X, configs, monitors=None, quadratures=None):
 
 def _run(frame, rhs, mons, quad_names, kernel, cfg):
     y = tuple(cfg.y0) + (0.0,) * len(quad_names)
-    times, states = [cfg.t0], [y[:3]]
-    quads = [[0.0] for _ in quad_names]
     if cfg.method == "rk4":
-        accepted, rejected, aborted = _run_rk4(rhs, cfg, y, times, states, quads)
+        times, rows = [cfg.t0], [y]
+        accepted, rejected, aborted = _run_rk4(rhs, cfg, y, times, rows)
+        times, rows = np.array(times, dtype=float), np.array(rows, dtype=float)
     else:
-        h = min(cfg.max_step, (cfg.t1 - cfg.t0) / 100.0)
-        accepted, rejected, aborted = kernel(
-            rhs, y, cfg.t0, cfg.t1, h, cfg.max_step, cfg.rtol, cfg.atol,
-            _sample_times(cfg), times, states, quads,
-        )
-    monitors = {}
-    for name, f in mons:
-        try:
-            monitors[name] = [f(u, v, w, t) for t, (u, v, w) in zip(times, states)]
-        except _RHS_ERRORS:
-            values, aborted = _monitor_until_failure(times, states, name, f)
-            for column in (times, states, *quads, *monitors.values()):
-                del column[len(values):]
-            monitors[name] = values
+        times, rows, accepted, rejected, aborted = _run_dopri(kernel, rhs, y, cfg)
+    monitors, n, failure = _monitor_values(mons, times, rows)
     return Trajectory(
         frame=frame,
-        times=np.array(times, dtype=float),
-        states=np.array(states, dtype=float),
-        monitors={name: np.array(values, dtype=float) for name, values in monitors.items()},
-        quadratures={name: np.array(q, dtype=float) for name, q in zip(quad_names, quads)},
+        times=times[:n],
+        states=np.ascontiguousarray(rows[:n, :3]),
+        monitors={name: values[:n] for name, values in monitors.items()},
+        quadratures={name: rows[:n, 3 + q].copy() for q, name in enumerate(quad_names)},
         accepted=accepted,
         rejected=rejected,
-        aborted=aborted,
+        aborted=failure or aborted,
     )
 
 
-def _monitor_until_failure(times, states, name, f):
-    """The values of a monitor that fails at some sample, up to the first
-    failing one, and the failure as the reason the run aborted."""
-    values = []
-    for t, (u, v, w) in zip(times, states):
+def _run_dopri(kernel, rhs, y, cfg):
+    """The adaptive run: the kernel records its steps, and ``_dense``
+    turns them into samples, ``_DENSE_STEPS`` steps at a time, in one
+    preallocated block.  Returns the sample times, the ``(rows, dim)``
+    samples (row 0 the initial state), the step counts and the reason."""
+    times = _time_grid(cfg)
+    grid = times[1:]
+    dim = len(y)
+    block = np.empty((1, len(times), dim))
+    block[0, 0] = y
+    done = np.zeros(1, dtype=np.intp)
+    record = array("d")
+
+    def flush():
+        if record:
+            # a copy in the table's layout, one column per step; no view
+            # may outlive this, or the record could not shrink
+            table = np.frombuffer(record).reshape(-1, 2 + 8 * dim).T.copy()
+            n = table.shape[1]
+            steps = (np.zeros(n, dtype=np.intp), np.ones(n, dtype=bool), table[0] + table[1])
+            _dense(block, grid, done, [steps], table)
+            del record[:]
+
+    h = min(cfg.max_step, (cfg.t1 - cfg.t0) / 100.0)
+    accepted, rejected, aborted = kernel(
+        rhs, y, cfg.t0, cfg.t1, h, cfg.max_step, cfg.rtol, cfg.atol, grid, record, flush
+    )
+    flush()
+    n = 1 + int(done[0])
+    return times[:n], block[0, :n], accepted, rejected, aborted
+
+
+def _monitor_values(mons, times, rows):
+    """Each monitor's values at the samples, as an array, and the number
+    of samples kept, with the reason a monitor failed (or None).  The
+    scalar monitor functions are called on Python floats, a block of
+    ``_BLOCK`` rows at a time.  A monitor that fails at a sample cuts the
+    samples back to the ones before it; the monitors after it see only
+    those."""
+    n = len(times)
+    values = {name: np.empty(n) for name, _ in mons}
+    failure = None
+    k = 0
+    while mons and k < n:
+        block = np.column_stack((rows[k : k + _BLOCK, :3], times[k : k + _BLOCK])).tolist()
+        for name, f in mons:
+            out = values[name][k:]
+            try:
+                out[: len(block)] = [f(u, v, w, t) for u, v, w, t in block]
+            except _RHS_ERRORS:
+                j, failure = _first_failure(name, f, block, out)
+                del block[j:]
+                n = k + j
+        k += _BLOCK
+    return values, n, failure
+
+
+def _first_failure(name, f, block, out):
+    """Write the monitor's values at the rows of ``block`` into ``out`` up
+    to the first failing row; return that row and the failure."""
+    for j, (u, v, w, t) in enumerate(block):
         try:
-            values.append(f(u, v, w, t))
+            out[j] = f(u, v, w, t)
         except _RHS_ERRORS as err:
-            return values, f"monitor {name} failed at t={t:.6g}: {err}"
+            return j, f"monitor {name} failed at t={t:.6g}: {err}"
 
 
 class _Abort(Exception):
@@ -333,9 +387,9 @@ def _derivative(rhs, t, y):
     return dy
 
 
-def _run_rk4(rhs, cfg, y, times, states, quads):
-    """Append each step's sample; return ``(accepted, rejected, reason)``
-    as the adaptive kernel does."""
+def _run_rk4(rhs, cfg, y, times, rows):
+    """Append each step's time and state (quadratures included); return
+    ``(accepted, rejected, reason)`` as the adaptive kernel does."""
     dim = len(y)
     span = cfg.t1 - cfg.t0
     n = max(1, round(span / cfg.step))
@@ -356,52 +410,56 @@ def _run_rk4(rhs, cfg, y, times, states, quads):
             return k, 0, f"non-finite state at t={t + h:.6g}"
         t = cfg.t0 + (k + 1) * h
         times.append(t)
-        states.append(y[:3])
-        for q, c in zip(quads, y[3:]):
-            q.append(c)
+        rows.append(y)
     return n, 0, None
 
 
-def _sample_times(cfg):
-    n_samples = int(math.floor((cfg.t1 - cfg.t0) / cfg.sample_dt + 1e-9))
-    sample_times = [cfg.t0 + (k + 1) * cfg.sample_dt for k in range(n_samples)]
-    if not sample_times or sample_times[-1] < cfg.t1 - 1e-9 * max(1.0, abs(cfg.t1)):
-        sample_times.append(cfg.t1)
-    sample_times[-1] = min(sample_times[-1], cfg.t1)
-    return sample_times
+def _time_grid(cfg):
+    """``t0`` followed by the sample times, as one float64 array."""
+    n = int(math.floor((cfg.t1 - cfg.t0) / cfg.sample_dt + 1e-9))
+    times = np.empty(n + 2)
+    times[0] = cfg.t0
+    times[1 : n + 1] = cfg.t0 + np.arange(1, n + 1) * cfg.sample_dt
+    if n and times[n] >= cfg.t1 - 1e-9 * max(1.0, abs(cfg.t1)):
+        times = times[: n + 1]
+    else:
+        times[-1] = cfg.t1
+    times[-1] = min(times[-1], cfg.t1)
+    return times
 
 
 # ---------------------------------------------------------------------------
 # generated Dormand-Prince kernel
 #
 # The loop below is the adaptive integrator: one accepted or rejected step
-# per pass, PI step control, FSAL reuse and dense output at the sample grid.
-# It is written out as straight-line code over scalar locals for one state
-# dimension, so a step costs six right-hand-side calls plus plain float
-# arithmetic.  Each quantity takes the float operations, in the order, of the
-# per-component formulation on the left, less the terms that can change no
-# value (below), so trajectories are bit-identical to a loop written that way:
+# per pass, PI step control and FSAL reuse.  It is written out as
+# straight-line code over scalar locals for one state dimension, so a step
+# costs six right-hand-side calls plus plain float arithmetic.  Each
+# quantity takes the float operations, in the order, of the per-component
+# formulation on the left, less the terms that can change no value
+# (below), so trajectories are bit-identical to a loop written that way:
 #
 #   stage/update/error sums  sum(c[j] * K[j][i] for j)  ->  0.0 + c0 * k0_i + ...
 #     (sum() starts from the integer 0, which becomes 0.0 at the first float)
 #   error norm               err = 0.0; err += (e / sc) ** 2 per component
-#   dense output             acc = 0.0; acc += K[j][i] * w_j(theta) per stage,
-#                            w_j = p0 * th + p1 * th^2 + p2 * th^3 + p3 * th^4
 #   min(a, b), max(a, b)     b if b < a else a, b if b > a else a
 #
 # Terms with a zero coefficient are left out: the 0.0 * k products of the
-# tableau sums, the dense weight w1 (all four of its coefficients are zero)
-# with its k1 * w1 products, and the leading 0.0 * th of the other weights.
-# Each k is checked finite right after its stage, so 0.0 * k is a zero of
-# some sign.  A sum that starts at 0.0 is never -0.0 (in round-to-nearest,
-# x + y is -0.0 only when both are), and adding a zero of either sign to it
-# leaves it as it is.  A weight without its leading 0.0 * th (th is at
-# least +0.0, so that product is +0.0) can differ only in being -0.0 where
-# it was +0.0; its products then are zeros, which leave the dense sum as it
-# is too.
+# tableau sums.  Each k is checked finite right after its stage, so 0.0 * k
+# is a zero of some sign.  A sum that starts at 0.0 is never -0.0 (in
+# round-to-nearest, x + y is -0.0 only when both are), and adding a zero of
+# either sign to it leaves it as it is.
+#
+# The kernel evaluates no dense output.  An accepted step that reaches at
+# least one sample time is recorded: its t, h, y and seven stages, appended
+# to a flat float64 buffer in the column layout of _lockstep's table.  Every
+# _DENSE_STEPS recorded steps, and once the run ends, ``_dense`` evaluates
+# their samples (see there), so the record does not grow with t1.
 #
 # A finiteness test is ``x0 * 0.0 + x1 * 0.0 + ... != 0.0``: each product is
 # a signed zero for a finite x and nan otherwise.
+
+_DENSE_STEPS = 1024  # recorded steps per _dense call of the scalar kernel
 
 
 def _combo(coeffs, terms):
@@ -416,14 +474,16 @@ def _not_finite(names):
 def _dopri_source(dim):
     """Source of ``dopri(f, y, t, ...)`` for ``dim`` state components.
 
-    It appends the samples after ``t`` to ``times``, ``states`` and the
-    lists in ``quads``, and returns ``(accepted, rejected, reason)`` where
-    ``reason`` is None unless the run aborted.
+    ``samples`` is the sorted float64 array of sample times after ``t``.
+    Each accepted step that reaches the next of them appends its t, h, y
+    and stages to the ``array('d')`` ``record``, and ``flush()`` is called
+    once the record holds ``_DENSE_STEPS`` steps.  Returns ``(accepted,
+    rejected, reason)`` where ``reason`` is None unless the run aborted.
     """
     idx = range(dim)
     ys = [f"y_{i}" for i in idx]
     k = [[f"k{s}_{i}" for i in idx] for s in range(7)]
-    out = ["def dopri(f, y, t, t1, h, max_step, rtol, atol, samples, times, states, quads):"]
+    out = ["def dopri(f, y, t, t1, h, max_step, rtol, atol, samples, record, flush):"]
 
     def put(depth, *lines):
         out.extend("    " * depth + line for line in lines)
@@ -444,12 +504,10 @@ def _dopri_source(dim):
     put(
         1,
         f"{', '.join(ys)}, = y",
-        "times_append = times.append",
-        "states_append = states.append",
-        *(f"quad{q}_append = quads[{q}].append" for q in range(dim - 3)),
+        "record_extend = record.extend",
         "accepted = rejected = 0",
         "n_samples = len(samples)",
-        "ns = 0",
+        "next_ts = samples.item(0)",
         "facold = 1e-4",
         "a = abs(t1)",
         "t_end = t1 - 1e-14 * (a if a > 1.0 else 1.0)",
@@ -486,25 +544,12 @@ def _dopri_source(dim):
         "    tn = t + h",
         "    a = abs(tn)",
         "    lim = tn + 1e-14 * (a if a > 1.0 else 1.0)",
-        "    while ns < n_samples and samples[ns] <= lim:",
-        "        ts = samples[ns]",
-        "        th = (ts - t) / h",
-        "        th = th if th > 0.0 else 0.0",
-        "        th = th if th < 1.0 else 1.0",
-        "        th2 = th * th",
-        "        th3 = th2 * th",
-        "        th4 = th2 * th2",
-    )
-    powers = ("th", "th2", "th3", "th4")
-    weighted = [j for j in range(7) if any(_P[j])]
-    put(4, *(f"w{j} = " + " + ".join(f"{c!r} * {p}" for c, p in zip(_P[j], powers) if c) for j in weighted))
-    dense = [f"{ys[i]} + h * (0.0{''.join(f' + {k[j][i]} * w{j}' for j in weighted)})" for i in idx]
-    put(
-        4,
-        "times_append(t1 if t1 < ts else ts)",
-        f"states_append(({', '.join(dense[:3])}))",
-        *(f"quad{q}_append({dense[3 + q]})" for q in range(dim - 3)),
-        "ns += 1",
+        "    if next_ts <= lim:",
+        f"        record_extend((t, h, {', '.join(ys + [x for row in k for x in row])}))",
+        '        ns = samples.searchsorted(lim, "right")',
+        "        next_ts = samples.item(ns) if ns < n_samples else _INF",
+        f"        if len(record) == {_DENSE_STEPS * (2 + 8 * dim)}:",
+        "            flush()",
     )
     put(
         3,
@@ -532,7 +577,7 @@ def _dopri_source(dim):
 
 
 def _dopri_kernel(dim):
-    namespace = {"_RHS_ERRORS": _RHS_ERRORS, "_sqrt": math.sqrt}
+    namespace = {"_RHS_ERRORS": _RHS_ERRORS, "_sqrt": math.sqrt, "_INF": math.inf}
     exec(_dopri_source(dim), namespace)
     return namespace["dopri"]
 
@@ -562,10 +607,13 @@ def _dopri_kernel(dim):
 # _DENSE_PASSES passes and at the end: _dense gathers, with ``np.take``,
 # the table column of every (member, sample) pair's step into contiguous
 # rows and evaluates the samples of all accepted steps since its last call
-# at once, with the scalar kernel's weights and sums in their order.
+# at once.
 
 _BATCH_MIN = 16  # smallest group the lockstep kernel runs; see _batch
 _DENSE_PASSES = 32  # passes kept between dense evaluations; bounds their memory
+# samples per numpy evaluation of dense output or of a batch's monitors;
+# bounds their temporaries
+_SAMPLES_PER_CALL = 8192
 
 
 def _wsum(products):
@@ -592,23 +640,25 @@ def _batch(f, mon, frame, mon_names, quad_names, cfgs):
     Each trajectory owns its arrays: they are copied out of the group's
     sample block, which is freed on return.
 
-    ``f`` is the right-hand side from :func:`expr.compile_columns` and
-    ``mon`` the monitors from :func:`expr.compile_array`.  Below about 14
-    members the per-step numpy overhead costs more than the scalar
-    kernel's per-member loop: on qi members from t=0 to t=10, a batch runs
-    at 0.65 times the scalar speed with 8 members, 0.9 times with 12, 1.1
-    to 1.2 times with 14 to 20, 1.5 times with 24, 1.6 times with 32 and
-    6.5 times with 256 (medians of five alternating runs, two CPU cores).
+    ``f`` is the right-hand side and ``mon`` the monitors, both from
+    :func:`expr.compile_columns`.  The monitors are evaluated straight
+    from the block, ``_SAMPLES_PER_CALL`` samples of members at a time,
+    so their temporaries stay small.  Below about 14 members the per-step
+    numpy overhead costs more than the scalar kernel's per-member loop:
+    on qi members from t=0 to t=10, a batch runs at 0.65 times the scalar
+    speed with 8 members, 0.9 times with 12, 1.1 to 1.2 times with 14 to
+    20, 1.5 times with 24, 1.6 times with 32 and 6.5 times with 256
+    (medians of five alternating runs, two CPU cores).
     ``_BATCH_MIN`` is where a batch is about 1.2 times faster.
     """
-    grid = _sample_times(cfgs[0])
+    grid_t = _time_grid(cfgs[0])
     with np.errstate(all="ignore"):
-        block, done, accepted, rejected, rerun = _lockstep(f, cfgs, grid, 3 + len(quad_names))
-    # every sample time is at most t1, so these are the times the scalar
-    # kernel emits
-    grid_t = np.array([cfgs[0].t0] + grid, dtype=float)
+        block, done, accepted, rejected, rerun = _lockstep(f, cfgs, grid_t[1:], 3 + len(quad_names))
+    chunk = max(1, _SAMPLES_PER_CALL // len(grid_t))
     out = []
     for j in range(len(cfgs)):
+        if mon_names and j % chunk == 0:
+            values = _block_monitors(mon, len(mon_names), block[j : j + chunk], grid_t)
         if rerun[j]:
             out.append(None)
             continue
@@ -622,14 +672,26 @@ def _batch(f, mon, frame, mon_names, quad_names, cfgs):
             rejected=int(rejected[j]),
         )
         if mon_names:
-            values = mon(np.column_stack((traj.states, traj.times)))
-            if not np.isfinite(values).all():
+            member = values[:, j % chunk, : len(rows)]
+            if not np.isfinite(member).all():
                 # the scalar path raises or returns what its monitors do
                 out.append(None)
                 continue
-            traj.monitors = {name: column.copy() for name, column in zip(mon_names, values.T)}
+            traj.monitors = {name: column.copy() for name, column in zip(mon_names, member)}
         out.append(traj)
     return out
+
+
+def _block_monitors(mon, count, members, times):
+    """The ``(monitor, member, row)`` values of ``count`` monitors over a
+    ``(members, rows, dim)`` slice of the sample block; a failure leaves a
+    non-finite value."""
+    values = np.empty((count, *members.shape[:2]))
+    with np.errstate(all="ignore"):
+        columns = (np.ascontiguousarray(members[:, :, i]) for i in range(3))
+        for v, column in zip(values, mon(*columns, times)):
+            v[...] = column  # a constant monitor is a float, which broadcasts
+    return values
 
 
 def _lockstep(f, cfgs, grid, dim):
@@ -638,7 +700,6 @@ def _lockstep(f, cfgs, grid, dim):
     and rejected step counts, and which members must be run alone."""
     m = len(cfgs)
     t0, t1 = cfgs[0].t0, cfgs[0].t1
-    grid = np.array(grid)
     block = np.zeros((m, 1 + len(grid), dim))
     block[:, 0, :3] = [cfg.y0 for cfg in cfgs]
     done = np.zeros(m, dtype=np.intp)
@@ -724,16 +785,38 @@ def _lockstep(f, cfgs, grid, dim):
                 steps = []
 
 
+# ---------------------------------------------------------------------------
+# dense output
+#
+# The continuous extension of [2], section II.6, for both kernels: the
+# lockstep kernel's table and the scalar kernel's record have one layout.
+# For each sample time ts of a step (t, h, y, K), with th = (ts - t) / h
+# clamped to [0, 1], it takes the float operations, in the order, of
+#
+#   acc = 0.0; acc += K[j][i] * w_j per stage j; then y_i + h * acc
+#   w_j = p0 * th + p1 * th^2 + p2 * th^3 + p3 * th^4, th^4 = th^2 * th^2
+#
+# less the terms that can change no value: the weight w1 (all four of its
+# coefficients are zero) with its K[1] * w1 products, and the leading
+# 0.0 * th of the other weights.  Each K is finite.  A weight without its
+# leading 0.0 * th (th is at least +0.0, so that product is +0.0) can
+# differ only in being -0.0 where it was +0.0; its products then are
+# zeros, which leave the sum as it is.  Numpy's elementwise products and
+# sums round as Python's floats do, so the samples are the bits of that
+# formula evaluated one sample at a time (pinned in hex by
+# ``test_dense_output_equals_the_scalar_formula``).
+
+
 def _dense(block, grid, done, steps, table):
-    """Dense output of the accepted steps among ``steps``, the ``(pos, ok,
-    tn)`` of consecutive passes, at every grid time up to each step's new
-    time ``tn``: all (member, sample) pairs at once.  ``table`` holds the
-    t, h, y and stages of these passes' steps, one column each, in pass
-    order.  ``done[j]`` counts the samples member ``j`` has and is
-    advanced."""
+    """Dense output of the accepted steps among ``steps``, at every grid
+    time up to each step's new time ``tn``: all (member, sample) pairs at
+    once.  Each entry of ``steps`` holds the ``(pos, ok, tn)`` arrays of
+    one lockstep pass, or of a run of the scalar kernel's recorded steps.
+    ``table`` holds the t, h, y and stages of those steps, one column
+    each, in order.  ``done[j]`` counts the samples member ``j`` has and
+    is advanced."""
     if not steps:
         return
-    dim = (len(table) - 2) // 8
     pos, ok, tn = (np.concatenate(c) for c in zip(*steps))
     step = np.flatnonzero(ok)
     # by member, and within one member in pass order: each step's first
@@ -751,16 +834,26 @@ def _dense(block, grid, done, steps, table):
     if not count.any():
         return
     sample = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-    # the column of each pair's step; take returns the rows C-contiguous,
-    # where table[:, idx] would return them transposed
-    G = np.take(table, np.repeat(step, count), axis=1)
+    column, member = np.repeat(step, count), np.repeat(who, count)
+    # a step may reach many samples, so the pairs go _SAMPLES_PER_CALL at a time
+    for k in range(0, len(sample), _SAMPLES_PER_CALL):
+        pairs = slice(k, k + _SAMPLES_PER_CALL)
+        block[member[pairs], 1 + sample[pairs]] = _dense_values(table, column[pairs], grid[sample[pairs]])
+
+
+def _dense_values(table, column, ts):
+    """The ``(samples, dim)`` dense output at times ``ts``, each of the step
+    in its ``column`` of ``table``."""
+    dim = (len(table) - 2) // 8
+    # take returns the rows C-contiguous, where table[:, column] would
+    # return them transposed
+    G = np.take(table, column, axis=1)
     t, h, y, K = G[0], G[1], G[2 : 2 + dim], G[2 + dim :].reshape(7, dim, -1)
-    th = np.fmin(np.fmax((grid[sample] - t) / h, 0.0), 1.0)
+    th = np.fmin(np.fmax((ts - t) / h, 0.0), 1.0)
     th2 = th * th
     th3 = th2 * th
     th4 = th2 * th2
-    # the scalar kernel's weights: stage 1's is zero and stages 2-6 have no
-    # th term (see _dopri_source)
+    # the weights above: stage 1's is zero and stages 2-6 have no th term
     w0 = _P[0][0] * th + _P[0][1] * th2 + _P[0][2] * th3 + _P[0][3] * th4
     p = np.array(_P[2:]).T[1:, :, None]  # (power, stage, 1)
     w = p[0] * th2 + p[1] * th3 + p[2] * th4
@@ -768,20 +861,4 @@ def _dense(block, grid, done, steps, table):
     # go where stage 1's were, and K[1:] lists them in the scalar order
     np.multiply(K[0], w0, out=K[1])
     np.multiply(K[2:], w[:, None], out=K[2:])
-    block[np.repeat(who, count), 1 + sample] = (y + h * _wsum(K[1:])).T
-
-
-def convergence_order(X, t0, t1, y0, exact, steps):
-    """Least-squares slope of log(max error at t1) against log(h)
-    for the fixed-step RK4 scheme."""
-    errors = []
-    for h in steps:
-        cfg = IntegratorConfig(t0=t0, t1=t1, y0=y0, method="rk4", step=h)
-        traj = integrate(X, cfg)
-        if not traj.ok():
-            raise IntegrationError(traj.aborted)
-        ref = exact(traj.times[-1])
-        err = max(abs(a - b) for a, b in zip(traj.states[-1], ref))
-        errors.append(err)
-    slope = np.polyfit(np.log(np.asarray(steps)), np.log(np.asarray(errors)), 1)[0]
-    return float(slope)
+    return (y + h * _wsum(K[1:])).T

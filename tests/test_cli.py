@@ -99,6 +99,30 @@ def test_simulate_conservation_column(tmp_path, capsys):
     assert worst < 1e-6
 
 
+def test_simulate_prints_the_bytes_it_writes_to_out(tmp_path, capsys):
+    # 1201 rows: the CSV is streamed in more than one block
+    argv = ["simulate", "qi", "--param", "gamma=2", "--init", "1,1,1", "--t1", "12", "--monitors", "h1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out.count("\n") == 1202
+    path = tmp_path / "q.csv"
+    code, printed, _ = run([*argv, "--out", str(path)], capsys)
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_a_reader_closing_stdout_early_gets_no_traceback():
+    # 20,001 rows, about 2 MB: more than a pipe holds, so the writer is
+    # still writing when the reader goes away
+    argv = ["simulate", "lu-transformed", "--init", "1,1,1", "--t1", "200"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biham3", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"t,u,v,w\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1 and err == b""
+
+
 def test_simulate_abort_exit_code(tmp_path, capsys):
     code, _, err = run(
         ["simulate", "chen-variant", "--init", "1,1,1", "--t1", "20",
@@ -315,6 +339,15 @@ def test_bracket_rejects_deep_nesting(capsys, f):
     code, out, err = run(["bracket", "--j", "1;0;0", f"--f={f}", "--h", "v"], capsys)
     assert code == 2
     assert err.startswith("error: expression nested deeper than") and out == ""
+
+
+@pytest.mark.parametrize("f", ["1e5000*u", "(2^999)^1000*u", "u/3e5000"])
+def test_constants_past_the_printable_digits_are_usage_errors(capsys, f):
+    # the result is a constant of more than 4,300 digits, which str() refuses
+    # and the parser would not read back
+    code, out, err = run(["bracket", "--j", "0;0;1", "--f", f, "--h", "v"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: constant longer than {sys.get_int_max_str_digits()} digits\n"
 
 
 def test_exponent_past_the_limit_is_a_usage_error(tmp_path, capsys):

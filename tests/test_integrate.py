@@ -8,7 +8,10 @@ coordinates growing like exp(t), so H1 stays O(1) while its terms reach
 """
 
 import hashlib
+import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from biham3.expr import parse
 from biham3.integrate import (
     IntegrationError,
     IntegratorConfig,
-    convergence_order,
     ensemble,
     integrate,
 )
@@ -45,6 +47,20 @@ def relative_drift(traj, name, h_expr, frame, time="t"):
         denom = 1.0 + scale(y, t)
         worst = max(worst, abs(v - vals[0]) / denom)
     return worst
+
+
+def convergence_order(X, t0, t1, y0, exact, steps):
+    """Least-squares slope of log(max error at t1) against log(h)
+    for the fixed-step RK4 scheme."""
+    errors = []
+    for h in steps:
+        cfg = IntegratorConfig(t0=t0, t1=t1, y0=y0, method="rk4", step=h)
+        traj = integrate(X, cfg)
+        if not traj.ok():
+            raise IntegrationError(traj.aborted)
+        ref = exact(traj.times[-1])
+        errors.append(max(abs(a - b) for a, b in zip(traj.states[-1], ref)))
+    return float(np.polyfit(np.log(np.asarray(steps)), np.log(np.asarray(errors)), 1)[0])
 
 
 def test_rk4_harmonic_oscillator():
@@ -222,6 +238,21 @@ def test_csv_format():
     # full precision round trip
     first = lines[1].split(",")
     assert float(first[1]) == traj.states[0][0]
+
+
+def test_to_csv_writes_each_block_of_the_text_it_returns():
+    d = cat.instantiate("lu-transformed")
+    cfg = IntegratorConfig(t0=0.0, t1=20.0, y0=(1.0, 1.0, 1.0))
+    traj = integrate(d.bound_field(), cfg, monitors={"H1": d.bound_scalar(d.h1)})
+    writes = []
+    sink = io.StringIO()
+    sink.write = lambda text: writes.append(text) or len(text)
+    assert traj.to_csv(sink) is None
+    assert "".join(writes) == traj.to_csv()
+    # the header, then one write per block of rows: 2001 rows make one
+    # full block and one of 2001 - _BLOCK rows
+    block = integrate_mod._BLOCK
+    assert [w.count("\n") for w in writes] == [1, block, len(traj.times) - block]
 
 
 def test_step_underflow_aborts_with_partial_trajectory():
@@ -422,6 +453,68 @@ def test_abort_paths_keep_partial_trajectory(field, t1, y0, step, bits):
     traj = integrate(field, cfg)
     assert _bits(traj) == bits
     assert all(math.isfinite(c) for s in traj.states for c in s)
+
+
+# ln(2 + u) fails where 3*cos(t) < -2 (row 2301 at sample_dt 0.001), past
+# the first two blocks of monitor rows; ln(1/2 + u) fails at row 1739, in
+# the second; ln(10235/10000 - t) at row 1024, the first row of the second.
+# Recorded before the monitors were evaluated a block at a time.
+LATE = ScalarField(parse("ln(2 + u)"), UVW)
+EARLY = ScalarField(parse("ln(1/2 + u)"), UVW)
+EDGE = ScalarField(parse("ln(10235/10000 - t)"), UVW)
+
+
+@pytest.mark.parametrize(
+    "step,monitors,bits",
+    [
+        (None, {"late": LATE},
+         ("470fb2bb597e85c2470334cdf38a58fbea6564679a2c9d5ea68693af647ef44c", 82, 0, 2301,
+          "monitor late failed at t=2.301: math domain error")),
+        (None, {"late": LATE, "early": EARLY},
+         ("4486803d1e712a638d9c64f9b10c2696085ad01a435a4de0147d939f25b1cab1", 82, 0, 1739,
+          "monitor early failed at t=1.739: math domain error")),
+        (None, {"early": EARLY, "late": LATE},
+         ("85bac6cdaf2730f3c182deb3acffb82cf9d69723f3dc462e6bc580a76ccf15a1", 82, 0, 1739,
+          "monitor early failed at t=1.739: math domain error")),
+        (None, {"edge": EDGE},
+         ("e79eb56d99053e1729b74b5908948a59d82fa4d6e3f3cdbc70e031f236df63eb", 82, 0, 1024,
+          "monitor edge failed at t=1.024: math domain error")),
+        (0.001, {"late": LATE, "early": EARLY},
+         ("2be827614b70da9f09071a685fa573c5317a5920270ce20476f9ac12f788f783", 3000, 0, 1739,
+          "monitor early failed at t=1.739: math domain error")),
+    ],
+    ids=["late", "late-then-early", "early-then-late", "block-edge", "rk4"],
+)
+def test_a_monitor_failing_past_the_first_block_cuts_there(step, monitors, bits):
+    method = "adaptive" if step is None else "rk4"
+    cfg = IntegratorConfig(t0=0.0, t1=3.0, y0=(3.0, 0.0, 0.0), sample_dt=0.001, method=method, step=step)
+    traj = integrate(HARMONIC, cfg, monitors=monitors)
+    assert _bits(traj) == bits
+    full = integrate(HARMONIC, cfg)
+    n = len(traj.times)
+    assert np.array_equal(traj.states, full.states[:n]) and np.array_equal(traj.times, full.times[:n])
+    for name, sf in monitors.items():
+        f = ex.compile_fn(sf.expr, (*UVW, "t"))
+        assert traj.monitors[name].tolist() == [f(*y, t) for y, t in zip(traj.states.tolist(), traj.times)]
+
+
+def test_a_long_run_keeps_no_python_object_per_sample():
+    # 200,001 samples: held as Python floats and tuples, or formatted into
+    # one string, they would take several times their arrays' bytes
+    d = cat.instantiate("lu-transformed")
+    cfg = IntegratorConfig(t0=0.0, t1=20.0, y0=(1.0, 1.0, 1.0), sample_dt=1e-4)
+    X, monitors = d.bound_field(), {"H1": d.bound_scalar(d.h1)}
+    tracemalloc.start()
+    try:
+        traj = integrate(X, cfg, monitors=monitors)
+        with open(os.devnull, "w") as fh:
+            traj.to_csv(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (traj.times, traj.states, *traj.monitors.values()))
+    assert len(traj.times) == 200_001 and traj.ok()
+    assert peak < 3 * arrays, (peak, arrays)
 
 
 def test_rhs_failure_at_the_initial_state():
