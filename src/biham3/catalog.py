@@ -6,7 +6,9 @@ system, a Chen variant with a rescaled cross term, and the Qi system.
 Each transformed entry stores the vector field, the parameter
 constraints under which the structure exists, Jacobi's last multiplier,
 the two Hamiltonians, the orientation sign, and the change of variables
-back to the original equations.
+back to the original equations.  Each entry is a document in the system
+file format below, parsed by :func:`load_system` when
+:func:`get_system` first asks for it.
 
 The stored field and Hamiltonians are the derivation-consistent forms:
 where a published formula disagrees with what the chain rule or the
@@ -28,7 +30,7 @@ the deltas instead of silently discarding them.  Known deltas:
   the u*w term (the chain rule gives coefficient 1) and an undefined
   weight symbol read here as gamma.
 
-File format for user-defined systems (all expressions in the grammar of
+System file format (all expressions in the grammar of
 :mod:`biham3.expr`)::
 
     name = my-system
@@ -45,9 +47,38 @@ File format for user-defined systems (all expressions in the grammar of
 
 Each line under ``params`` is ``NAME`` (a free parameter) or
 ``NAME = EXPR`` (one pinned by a constraint); a name is an identifier
-that is neither a variable nor a function name, declared once.
-``multiplier`` defaults to 1, ``orientation`` to auto (determined by the
-verifier).  Lines starting with ``#`` are comments.
+that is neither a variable, a function name nor a key, declared once.  The
+three frame variables are distinct, and ``time`` (default t) is a
+variable outside the frame.  ``multiplier`` defaults to 1,
+``orientation`` (+1, -1 or auto) to auto (determined by the verifier).
+Lines starting with ``#`` are comments.  Optional keys carry what the
+built-in entries record about the paper::
+
+    description = Lu equations, rescaled
+    requires_nonzero = alpha
+    note = published third component has the opposite sign
+    printed.field = alpha*v ; -u*w ; -u*v
+    printed.H2 = 1/2*u^2 - alpha*w
+    transform.source_frame = x y z
+    transform.source_field = alpha*(y-x) ; gamma*y - x*z ; x*y - beta*z
+    transform.forward = x*exp(alpha*t) ; y*exp(2*alpha*t) ; z*exp(2*alpha*t)
+    transform.inverse = u*exp(-alpha*t) ; v*exp(-2*alpha*t) ; w*exp(-2*alpha*t)
+    transform.time_rescale = -exp(-alpha*t)/alpha
+    transform.time_rescale_rate = exp(-alpha*t)
+
+``description`` defaults to "user-defined system".  ``note`` may repeat
+and keeps its order.  ``requires_nonzero`` lists, separated by ``;``,
+parameter expressions that must not vanish at instantiation.  A
+``printed.KEY`` line is a published formula that the verifier compares
+with its derived counterpart: ``field``, ``J1`` and ``J2`` take three
+``;``-separated parts, ``H1``, ``H2`` and ``transform_V`` (V a frame
+variable) one; the Hamiltonian keys need ``h1`` and ``h2``, and the
+``transform_V`` keys a transform.  ``transform.*`` is the change of
+variables from the source equations: the source frame and field, the new
+coordinates in the source frame and ``t``, the source coordinates in the
+new frame and ``t``, and optionally the rescaled time and its rate.  The
+first four keys are required once any is given.  :func:`save_system`
+writes every field, and :func:`load_system` reads it back equal.
 """
 
 from __future__ import annotations
@@ -74,7 +105,6 @@ class SystemFormatError(ex.ExprError):
 class ParamSpec:
     name: str
     constraint: object = None  # Expr pinning this parameter, or None if free
-    default: Fraction = Fraction(1)
 
     def constraint_text(self):
         if self.constraint is None:
@@ -164,440 +194,200 @@ class SystemDef:
         }
 
 
-def _sf(text, frame, time="t"):
-    return ScalarField(parse(text), frame, time)
+# The built-in systems, in the file format that load_system reads.  A
+# backslash at the end of a source line continues it in the Python
+# literal: each document has one key per line.
+_DOCUMENTS = {
+    "lu-original": """\
+name = lu-original
+description = original Lu equations; divergence gamma-alpha-beta, \
+no Hamiltonian pair unless the parameters are constrained
+frame = x y z
+params
+    alpha
+    beta
+    gamma
+field = alpha*(y-x) ; gamma*y - x*z ; x*y - beta*z
+""",
+    "lu-transformed": """\
+name = lu-transformed
+description = Lu equations with beta = -gamma = 2*alpha, rescaled \
+variables and time; autonomous and divergence free
+frame = u v w
+params
+    alpha
+    beta = 2*alpha
+    gamma = -2*alpha
+field = alpha*v ; -u*w ; u*v
+h1 = 1/2*(v^2+w^2)
+h2 = 1/2*u^2 - alpha*w
+orientation = -1
+requires_nonzero = alpha
+note = published third field component -u*v does not conserve the \
+stated invariants; the chain rule gives +u*v
+printed.field = alpha*v ; -u*w ; -u*v
+printed.J1 = 0 ; v ; w
+printed.J2 = -u ; 0 ; alpha
+transform.source_frame = x y z
+transform.source_field = alpha*(y-x) ; gamma*y - x*z ; x*y - beta*z
+transform.forward = x*exp(alpha*t) ; y*exp(2*alpha*t) ; z*exp(2*alpha*t)
+transform.inverse = u*exp(-alpha*t) ; v*exp(-2*alpha*t) ; w*exp(-2*alpha*t)
+transform.time_rescale = -exp(-alpha*t)/alpha
+transform.time_rescale_rate = exp(-alpha*t)
+""",
+    "modified-lu": """\
+name = modified-lu
+description = Lu equations with an extra y*z feedback term; \
+non-autonomous after the rescaling, divergence free
+frame = u v w
+params
+    alpha
+    beta = 2*alpha
+    gamma = -alpha
+field = alpha*v + v*w*exp(-2*alpha*t) ; -u*w*exp(-2*alpha*t) ; u*v
+h1 = 1/2*(u^2+v^2) - alpha*w
+h2 = -v^2/2 + (exp(-2*alpha*t)/(2*alpha^2))*((u^2+v^2)*(1/4*(u^2+v^2) - alpha*w))
+orientation = -1
+requires_nonzero = alpha
+note = published change of variables (gamma = alpha, v = y*exp(-alpha*t)) \
+does not reproduce the published transformed equations; \
+gamma = -alpha with v = y*exp(alpha*t) does
+note = published H2 weight exp(2*alpha*t) must read exp(-2*alpha*t) \
+for the structure identity to close
+note = published J2 is not -grad(H2) for either H2 version
+printed.H2 = -v^2/2 + (exp(2*alpha*t)/(2*alpha^2))*((u^2+v^2)*(1/4*(u^2+v^2) - alpha*w))
+printed.J1 = u ; v ; -alpha
+printed.J2 = -(exp(2*alpha*t)*u/alpha^2)*(u^2+v^2-alpha*v) ; \
+v - (exp(2*alpha*t)*v/alpha^2)*(v^2+u^2-alpha*u) ; (exp(2*alpha*t)/(2*alpha))*(u^2+v^2)
+printed.transform_v = y*exp(-alpha*t)
+transform.source_frame = x y z
+transform.source_field = alpha*(y-x) + y*z ; gamma*y - x*z ; x*y - beta*z
+transform.forward = x*exp(alpha*t) ; y*exp(alpha*t) ; z*exp(2*alpha*t)
+transform.inverse = u*exp(-alpha*t) ; v*exp(-alpha*t) ; w*exp(-2*alpha*t)
+""",
+    "t-system": """\
+name = t-system
+description = T-system with beta = 2*alpha; non-autonomous after \
+rescaling x and z, divergence free
+frame = u v w
+params
+    alpha
+    beta = 2*alpha
+    gamma
+field = alpha*v*exp(alpha*t) ; \
+(gamma-alpha)*u*exp(-alpha*t) - alpha*u*w*exp(-3*alpha*t) ; u*v*exp(alpha*t)
+h1 = u^2 - 2*alpha*w
+h2 = 1/(2*alpha)*(1/8*exp(-3*alpha*t)*u^4 + 1/2*(gamma-alpha)*exp(-alpha*t)*u^2 \
+- alpha/2*u^2*w*exp(-3*alpha*t)) - 1/4*v^2*exp(alpha*t)
+orientation = -1
+requires_nonzero = alpha
+note = published J2 flips the sign of the (gamma-alpha) term relative to -grad(H2)
+printed.J1 = 2*u ; 0 ; -2*alpha
+printed.J2 = -1/(4*alpha)*u^3*exp(-3*alpha*t) + 1/(2*alpha)*(gamma-alpha)*u*exp(-alpha*t) \
++ 1/2*u*w*exp(-3*alpha*t) ; v/2*exp(alpha*t) ; 1/4*u^2*exp(-3*alpha*t)
+transform.source_frame = x y z
+transform.source_field = alpha*(y-x) ; (gamma-alpha)*x - alpha*x*z ; x*y - beta*z
+transform.forward = x*exp(alpha*t) ; y ; z*exp(2*alpha*t)
+transform.inverse = u*exp(-alpha*t) ; v ; w*exp(-2*alpha*t)
+""",
+    "chen": """\
+name = chen
+description = Chen system with beta = 2*alpha; non-autonomous after \
+the rescaling, divergence free
+frame = u v w
+params
+    alpha
+    beta = 2*alpha
+    gamma
+field = alpha*v*exp((gamma+alpha)*t) ; \
+(gamma-alpha)*u*exp(-(gamma+alpha)*t) - u*w*exp(-(3*alpha+gamma)*t) ; \
+u*v*exp((gamma+alpha)*t)
+h1 = u^2 - 2*alpha*w
+h2 = 1/(2*alpha)*(1/(8*alpha)*exp(-(3*alpha+gamma)*t)*u^4 \
++ 1/2*(gamma-alpha)*exp(-(gamma+alpha)*t)*u^2 - 1/2*u^2*w*exp(-(3*alpha+gamma)*t)) \
+- 1/4*v^2*exp((gamma+alpha)*t)
+orientation = -1
+requires_nonzero = alpha
+note = published transformed field writes coefficient alpha on the u*w term; \
+the chain rule gives coefficient 1
+note = published first-component weight exp((c+alpha)*t) leaves c undefined; read as gamma
+printed.field = alpha*v*exp((gamma+alpha)*t) ; \
+(gamma-alpha)*u*exp(-(gamma+alpha)*t) - alpha*u*w*exp(-(3*alpha+gamma)*t) ; \
+u*v*exp((gamma+alpha)*t)
+printed.J1 = 2*u ; 0 ; -2*alpha
+printed.J2 = exp(-(gamma+alpha)*t)/(2*alpha)\
+*(exp(-2*alpha*t)*u*(w - u^2/(2*alpha)) - (gamma-alpha)*u) ; \
+exp((gamma+alpha)*t)/2*v ; exp(-(3*alpha+gamma)*t)/(4*alpha)*u^2
+transform.source_frame = x y z
+transform.source_field = alpha*(y-x) ; (gamma-alpha)*x + gamma*y - x*z ; x*y - beta*z
+transform.forward = x*exp(alpha*t) ; y*exp(-gamma*t) ; z*exp(2*alpha*t)
+transform.inverse = u*exp(-alpha*t) ; v*exp(gamma*t) ; w*exp(-2*alpha*t)
+""",
+    "chen-variant": """\
+name = chen-variant
+description = Chen system with the x*z term rescaled by lambda and \
+alpha = beta = -gamma; divergence free after the rescaling
+frame = u v w
+params
+    alpha
+    beta = alpha
+    gamma = -alpha
+    lambda
+field = alpha*v ; 2*alpha*u + lambda*u*w*exp(-alpha*t) ; u*v*exp(-alpha*t)
+h1 = u^2 - v^2/2 + lambda*w^2/2
+h2 = alpha*w - u^2*exp(-alpha*t)/2
+orientation = -1
+requires_nonzero = alpha
+note = published change of variables writes 'zw = z*exp(alpha*t)'; \
+read as w = z*exp(alpha*t)
+printed.J1 = 2*u ; -v ; lambda*w
+printed.J2 = u*exp(-alpha*t) ; 0 ; -alpha
+transform.source_frame = x y z
+transform.source_field = alpha*(y-x) ; (alpha-gamma)*x + gamma*y + lambda*x*z ; x*y - beta*z
+transform.forward = x*exp(alpha*t) ; y*exp(alpha*t) ; z*exp(alpha*t)
+transform.inverse = u*exp(-alpha*t) ; v*exp(-alpha*t) ; w*exp(-alpha*t)
+""",
+    "qi": """\
+name = qi
+description = Qi system with alpha = beta = 1; non-autonomous after \
+the uniform exp(t) rescaling, divergence free
+frame = u v w
+params
+    alpha = 1
+    beta = 1
+    gamma
+field = v + v*w*exp(-t) ; gamma*u - u*w*exp(-t) ; u*v*exp(-t)
+h1 = gamma*u^2 - v^2 - (gamma+1)*w^2
+h2 = w/2 - 1/(4*(gamma+1))*(u^2+v^2)*exp(-t)
+orientation = -1
+requires_nonzero = gamma+1
+printed.J1 = 2*gamma*u ; -2*v ; -2*(gamma+1)*w
+printed.J2 = u/(2*(gamma+1))*exp(-t) ; v/(2*(gamma+1))*exp(-t) ; -1/2
+transform.source_frame = x y z
+transform.source_field = alpha*(y-x) + y*z ; gamma*x - x*z - y ; x*y - beta*z
+transform.forward = x*exp(t) ; y*exp(t) ; z*exp(t)
+transform.inverse = u*exp(-t) ; v*exp(-t) ; w*exp(-t)
+""",
+}
 
-
-def _field(texts, frame, time="t"):
-    return VectorField3.from_exprs([parse(s) for s in texts], frame, time)
-
-
-_UVW = ("u", "v", "w")
-_XYZ = ("x", "y", "z")
-
-
-def _p(text):
-    return parse(text)
-
-
-def _build_catalog():
-    systems = {}
-
-    # ---- original Lu equations (non-Hamiltonian reference) -----------
-    systems["lu-original"] = SystemDef(
-        name="lu-original",
-        description="original Lu equations; divergence gamma-alpha-beta, "
-        "no Hamiltonian pair unless the parameters are constrained",
-        frame=_XYZ,
-        time="t",
-        params=(ParamSpec("alpha"), ParamSpec("beta"), ParamSpec("gamma")),
-        field=_field(["alpha*(y-x)", "gamma*y - x*z", "x*y - beta*z"], _XYZ),
-        multiplier=_sf("1", _XYZ),
-    )
-
-    # ---- transformed Lu -----------------------------------------------
-    lu_printed = {
-        "field": tuple(_p(s) for s in ("alpha*v", "-u*w", "-u*v")),
-        "J1": tuple(_p(s) for s in ("0", "v", "w")),
-        "J2": tuple(_p(s) for s in ("-u", "0", "alpha")),
-    }
-    systems["lu-transformed"] = SystemDef(
-        name="lu-transformed",
-        description="Lu equations with beta = -gamma = 2*alpha, rescaled "
-        "variables and time; autonomous and divergence free",
-        frame=_UVW,
-        time="t",
-        params=(
-            ParamSpec("alpha"),
-            ParamSpec("beta", _p("2*alpha"), Fraction(2)),
-            ParamSpec("gamma", _p("-2*alpha"), Fraction(-2)),
-        ),
-        field=_field(["alpha*v", "-u*w", "u*v"], _UVW),
-        multiplier=_sf("1", _UVW),
-        h1=_sf("1/2*(v^2+w^2)", _UVW),
-        h2=_sf("1/2*u^2 - alpha*w", _UVW),
-        orientation=-1,
-        transform=ChangeOfVariables(
-            source_frame=_XYZ,
-            source_field=tuple(
-                _p(s) for s in ("alpha*(y-x)", "gamma*y - x*z", "x*y - beta*z")
-            ),
-            forward=tuple(
-                _p(s)
-                for s in (
-                    "x*exp(alpha*t)",
-                    "y*exp(2*alpha*t)",
-                    "z*exp(2*alpha*t)",
-                )
-            ),
-            inverse=tuple(
-                _p(s)
-                for s in (
-                    "u*exp(-alpha*t)",
-                    "v*exp(-2*alpha*t)",
-                    "w*exp(-2*alpha*t)",
-                )
-            ),
-            time_rescale=_p("-exp(-alpha*t)/alpha"),
-            time_rescale_rate=_p("exp(-alpha*t)"),
-        ),
-        printed=lu_printed,
-        notes=(
-            "published third field component -u*v does not conserve the "
-            "stated invariants; the chain rule gives +u*v",
-        ),
-        requires_nonzero=(_p("alpha"),),
-    )
-
-    # ---- modified Lu ----------------------------------------------------
-    modlu_h2 = (
-        "-v^2/2 + (exp(-2*alpha*t)/(2*alpha^2))"
-        "*((u^2+v^2)*(1/4*(u^2+v^2) - alpha*w))"
-    )
-    modlu_printed = {
-        "H2": _p(
-            "-v^2/2 + (exp(2*alpha*t)/(2*alpha^2))"
-            "*((u^2+v^2)*(1/4*(u^2+v^2) - alpha*w))"
-        ),
-        "J1": tuple(_p(s) for s in ("u", "v", "-alpha")),
-        "J2": (
-            _p("-(exp(2*alpha*t)*u/alpha^2)*(u^2+v^2-alpha*v)"),
-            _p("v - (exp(2*alpha*t)*v/alpha^2)*(v^2+u^2-alpha*u)"),
-            _p("(exp(2*alpha*t)/(2*alpha))*(u^2+v^2)"),
-        ),
-        "transform_v": _p("y*exp(-alpha*t)"),
-    }
-    systems["modified-lu"] = SystemDef(
-        name="modified-lu",
-        description="Lu equations with an extra y*z feedback term; "
-        "non-autonomous after the rescaling, divergence free",
-        frame=_UVW,
-        time="t",
-        params=(
-            ParamSpec("alpha"),
-            ParamSpec("beta", _p("2*alpha"), Fraction(2)),
-            ParamSpec("gamma", _p("-alpha"), Fraction(-1)),
-        ),
-        field=_field(
-            ["alpha*v + v*w*exp(-2*alpha*t)", "-u*w*exp(-2*alpha*t)", "u*v"],
-            _UVW,
-        ),
-        multiplier=_sf("1", _UVW),
-        h1=_sf("1/2*(u^2+v^2) - alpha*w", _UVW),
-        h2=_sf(modlu_h2, _UVW),
-        orientation=-1,
-        transform=ChangeOfVariables(
-            source_frame=_XYZ,
-            source_field=tuple(
-                _p(s)
-                for s in (
-                    "alpha*(y-x) + y*z",
-                    "gamma*y - x*z",
-                    "x*y - beta*z",
-                )
-            ),
-            forward=tuple(
-                _p(s)
-                for s in ("x*exp(alpha*t)", "y*exp(alpha*t)", "z*exp(2*alpha*t)")
-            ),
-            inverse=tuple(
-                _p(s)
-                for s in (
-                    "u*exp(-alpha*t)",
-                    "v*exp(-alpha*t)",
-                    "w*exp(-2*alpha*t)",
-                )
-            ),
-        ),
-        printed=modlu_printed,
-        notes=(
-            "published change of variables (gamma = alpha, v = y*exp(-alpha*t)) "
-            "does not reproduce the published transformed equations; "
-            "gamma = -alpha with v = y*exp(alpha*t) does",
-            "published H2 weight exp(2*alpha*t) must read exp(-2*alpha*t) "
-            "for the structure identity to close",
-            "published J2 is not -grad(H2) for either H2 version",
-        ),
-        requires_nonzero=(_p("alpha"),),
-    )
-
-    # ---- T-system -------------------------------------------------------
-    t_h2 = (
-        "1/(2*alpha)*(1/8*exp(-3*alpha*t)*u^4"
-        " + 1/2*(gamma-alpha)*exp(-alpha*t)*u^2"
-        " - alpha/2*u^2*w*exp(-3*alpha*t))"
-        " - 1/4*v^2*exp(alpha*t)"
-    )
-    t_printed = {
-        "J1": tuple(_p(s) for s in ("2*u", "0", "-2*alpha")),
-        "J2": (
-            _p(
-                "-1/(4*alpha)*u^3*exp(-3*alpha*t)"
-                " + 1/(2*alpha)*(gamma-alpha)*u*exp(-alpha*t)"
-                " + 1/2*u*w*exp(-3*alpha*t)"
-            ),
-            _p("v/2*exp(alpha*t)"),
-            _p("1/4*u^2*exp(-3*alpha*t)"),
-        ),
-    }
-    systems["t-system"] = SystemDef(
-        name="t-system",
-        description="T-system with beta = 2*alpha; non-autonomous after "
-        "rescaling x and z, divergence free",
-        frame=_UVW,
-        time="t",
-        params=(
-            ParamSpec("alpha"),
-            ParamSpec("beta", _p("2*alpha"), Fraction(2)),
-            ParamSpec("gamma"),
-        ),
-        field=_field(
-            [
-                "alpha*v*exp(alpha*t)",
-                "(gamma-alpha)*u*exp(-alpha*t) - alpha*u*w*exp(-3*alpha*t)",
-                "u*v*exp(alpha*t)",
-            ],
-            _UVW,
-        ),
-        multiplier=_sf("1", _UVW),
-        h1=_sf("u^2 - 2*alpha*w", _UVW),
-        h2=_sf(t_h2, _UVW),
-        orientation=-1,
-        transform=ChangeOfVariables(
-            source_frame=_XYZ,
-            source_field=tuple(
-                _p(s)
-                for s in (
-                    "alpha*(y-x)",
-                    "(gamma-alpha)*x - alpha*x*z",
-                    "x*y - beta*z",
-                )
-            ),
-            forward=tuple(
-                _p(s) for s in ("x*exp(alpha*t)", "y", "z*exp(2*alpha*t)")
-            ),
-            inverse=tuple(
-                _p(s) for s in ("u*exp(-alpha*t)", "v", "w*exp(-2*alpha*t)")
-            ),
-        ),
-        printed=t_printed,
-        notes=(
-            "published J2 flips the sign of the (gamma-alpha) term "
-            "relative to -grad(H2)",
-        ),
-        requires_nonzero=(_p("alpha"),),
-    )
-
-    # ---- Chen system ------------------------------------------------------
-    chen_h2 = (
-        "1/(2*alpha)*(1/(8*alpha)*exp(-(3*alpha+gamma)*t)*u^4"
-        " + 1/2*(gamma-alpha)*exp(-(gamma+alpha)*t)*u^2"
-        " - 1/2*u^2*w*exp(-(3*alpha+gamma)*t))"
-        " - 1/4*v^2*exp((gamma+alpha)*t)"
-    )
-    chen_printed = {
-        "field": (
-            _p("alpha*v*exp((gamma+alpha)*t)"),
-            _p(
-                "(gamma-alpha)*u*exp(-(gamma+alpha)*t)"
-                " - alpha*u*w*exp(-(3*alpha+gamma)*t)"
-            ),
-            _p("u*v*exp((gamma+alpha)*t)"),
-        ),
-        "J1": tuple(_p(s) for s in ("2*u", "0", "-2*alpha")),
-        "J2": (
-            _p(
-                "exp(-(gamma+alpha)*t)/(2*alpha)"
-                "*(exp(-2*alpha*t)*u*(w - u^2/(2*alpha)) - (gamma-alpha)*u)"
-            ),
-            _p("exp((gamma+alpha)*t)/2*v"),
-            _p("exp(-(3*alpha+gamma)*t)/(4*alpha)*u^2"),
-        ),
-    }
-    systems["chen"] = SystemDef(
-        name="chen",
-        description="Chen system with beta = 2*alpha; non-autonomous after "
-        "the rescaling, divergence free",
-        frame=_UVW,
-        time="t",
-        params=(
-            ParamSpec("alpha"),
-            ParamSpec("beta", _p("2*alpha"), Fraction(2)),
-            ParamSpec("gamma"),
-        ),
-        field=_field(
-            [
-                "alpha*v*exp((gamma+alpha)*t)",
-                "(gamma-alpha)*u*exp(-(gamma+alpha)*t)"
-                " - u*w*exp(-(3*alpha+gamma)*t)",
-                "u*v*exp((gamma+alpha)*t)",
-            ],
-            _UVW,
-        ),
-        multiplier=_sf("1", _UVW),
-        h1=_sf("u^2 - 2*alpha*w", _UVW),
-        h2=_sf(chen_h2, _UVW),
-        orientation=-1,
-        transform=ChangeOfVariables(
-            source_frame=_XYZ,
-            source_field=tuple(
-                _p(s)
-                for s in (
-                    "alpha*(y-x)",
-                    "(gamma-alpha)*x + gamma*y - x*z",
-                    "x*y - beta*z",
-                )
-            ),
-            forward=tuple(
-                _p(s)
-                for s in (
-                    "x*exp(alpha*t)",
-                    "y*exp(-gamma*t)",
-                    "z*exp(2*alpha*t)",
-                )
-            ),
-            inverse=tuple(
-                _p(s)
-                for s in (
-                    "u*exp(-alpha*t)",
-                    "v*exp(gamma*t)",
-                    "w*exp(-2*alpha*t)",
-                )
-            ),
-        ),
-        printed=chen_printed,
-        notes=(
-            "published transformed field writes coefficient alpha on the "
-            "u*w term; the chain rule gives coefficient 1",
-            "published first-component weight exp((c+alpha)*t) leaves c "
-            "undefined; read as gamma",
-        ),
-        requires_nonzero=(_p("alpha"),),
-    )
-
-    # ---- Chen variant (rescaled cross term) ------------------------------
-    chen2_printed = {
-        "J1": tuple(_p(s) for s in ("2*u", "-v", "lambda*w")),
-        "J2": tuple(_p(s) for s in ("u*exp(-alpha*t)", "0", "-alpha")),
-    }
-    systems["chen-variant"] = SystemDef(
-        name="chen-variant",
-        description="Chen system with the x*z term rescaled by lambda and "
-        "alpha = beta = -gamma; divergence free after the rescaling",
-        frame=_UVW,
-        time="t",
-        params=(
-            ParamSpec("alpha"),
-            ParamSpec("beta", _p("alpha"), Fraction(1)),
-            ParamSpec("gamma", _p("-alpha"), Fraction(-1)),
-            ParamSpec("lambda"),
-        ),
-        field=_field(
-            ["alpha*v", "2*alpha*u + lambda*u*w*exp(-alpha*t)", "u*v*exp(-alpha*t)"],
-            _UVW,
-        ),
-        multiplier=_sf("1", _UVW),
-        h1=_sf("u^2 - v^2/2 + lambda*w^2/2", _UVW),
-        h2=_sf("alpha*w - u^2*exp(-alpha*t)/2", _UVW),
-        orientation=-1,
-        transform=ChangeOfVariables(
-            source_frame=_XYZ,
-            source_field=tuple(
-                _p(s)
-                for s in (
-                    "alpha*(y-x)",
-                    "(alpha-gamma)*x + gamma*y + lambda*x*z",
-                    "x*y - beta*z",
-                )
-            ),
-            forward=tuple(
-                _p(s)
-                for s in ("x*exp(alpha*t)", "y*exp(alpha*t)", "z*exp(alpha*t)")
-            ),
-            inverse=tuple(
-                _p(s)
-                for s in (
-                    "u*exp(-alpha*t)",
-                    "v*exp(-alpha*t)",
-                    "w*exp(-alpha*t)",
-                )
-            ),
-        ),
-        printed=chen2_printed,
-        notes=(
-            "published change of variables writes 'zw = z*exp(alpha*t)'; "
-            "read as w = z*exp(alpha*t)",
-        ),
-        requires_nonzero=(_p("alpha"),),
-    )
-
-    # ---- Qi system --------------------------------------------------------
-    qi_printed = {
-        "J1": tuple(_p(s) for s in ("2*gamma*u", "-2*v", "-2*(gamma+1)*w")),
-        "J2": (
-            _p("u/(2*(gamma+1))*exp(-t)"),
-            _p("v/(2*(gamma+1))*exp(-t)"),
-            _p("-1/2"),
-        ),
-    }
-    systems["qi"] = SystemDef(
-        name="qi",
-        description="Qi system with alpha = beta = 1; non-autonomous after "
-        "the uniform exp(t) rescaling, divergence free",
-        frame=_UVW,
-        time="t",
-        params=(
-            ParamSpec("alpha", _p("1")),
-            ParamSpec("beta", _p("1")),
-            ParamSpec("gamma"),
-        ),
-        field=_field(
-            ["v + v*w*exp(-t)", "gamma*u - u*w*exp(-t)", "u*v*exp(-t)"],
-            _UVW,
-        ),
-        multiplier=_sf("1", _UVW),
-        h1=_sf("gamma*u^2 - v^2 - (gamma+1)*w^2", _UVW),
-        h2=_sf("w/2 - 1/(4*(gamma+1))*(u^2+v^2)*exp(-t)", _UVW),
-        orientation=-1,
-        transform=ChangeOfVariables(
-            source_frame=_XYZ,
-            source_field=tuple(
-                _p(s)
-                for s in (
-                    "alpha*(y-x) + y*z",
-                    "gamma*x - x*z - y",
-                    "x*y - beta*z",
-                )
-            ),
-            forward=tuple(_p(s) for s in ("x*exp(t)", "y*exp(t)", "z*exp(t)")),
-            inverse=tuple(
-                _p(s) for s in ("u*exp(-t)", "v*exp(-t)", "w*exp(-t)")
-            ),
-        ),
-        printed=qi_printed,
-        requires_nonzero=(_p("gamma+1"),),
-    )
-
-    return systems
-
-
-_BUILTINS = _build_catalog()
-
-BUILTIN_NAMES = tuple(_BUILTINS)
+BUILTIN_NAMES = tuple(_DOCUMENTS)
+_LOADED = {}  # name -> SystemDef, filled by get_system
 
 
 def list_systems():
     """Summaries of the seven built-in systems."""
-    return [_BUILTINS[name].summary() for name in BUILTIN_NAMES]
+    return [get_system(name).summary() for name in BUILTIN_NAMES]
 
 
 def get_system(name):
-    try:
-        return _BUILTINS[name]
-    except KeyError:
+    """The built-in system ``name``, parsed from its document on first use."""
+    if name not in _DOCUMENTS:
         raise ConstraintError(
             f"unknown system {name!r}; available: {', '.join(BUILTIN_NAMES)}"
-        ) from None
+        )
+    if name not in _LOADED:
+        _LOADED[name] = load_system(_DOCUMENTS[name])
+    return _LOADED[name]
 
 
 def _resolve_params(defn, supplied):
@@ -610,7 +400,7 @@ def _resolve_params(defn, supplied):
     values = {}
     for spec in defn.params:
         if spec.constraint is None:
-            values[spec.name] = supplied.get(spec.name, spec.default)
+            values[spec.name] = supplied.get(spec.name, Fraction(1))
     for spec in defn.params:
         if spec.constraint is None:
             continue
@@ -674,7 +464,7 @@ def transform_check(defn, field=None):
     if defn.transform is None:
         raise ConstraintError(f"system {defn.name!r} has no transform metadata")
     if not defn.is_instantiated():
-        defn = instantiate(defn.name)
+        defn = instantiate(defn)
     cov = defn.transform
     binding = {k: ex.con(v) for k, v in defn.param_values.items()}
     inverse_map = dict(zip(cov.source_frame, cov.inverse))
@@ -717,67 +507,104 @@ def transform_check(defn, field=None):
 
 
 # ---------------------------------------------------------------------------
-# user-defined system files
+# system files
 
-_RESERVED = ("name", "frame", "time", "field", "multiplier", "h1", "h2", "orientation")
+_KEYS = (
+    "name", "description", "frame", "time", "field", "multiplier", "h1", "h2",
+    "orientation", "requires_nonzero", "note",
+)
+# the source frame, three formulas each for the next three keys, and two
+# optional single formulas
+_TRANSFORM_KEYS = (
+    "source_frame", "source_field", "forward", "inverse", "time_rescale", "time_rescale_rate",
+)
+_TRIPLES = ("field", "J1", "J2")  # printed formulas with one part per component
 _PARAM_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def _frame(text, key):
+    frame = tuple(text.split())
+    if len(frame) != 3:
+        raise SystemFormatError(f"{key} must list exactly three variables, got {frame}")
+    for v in frame:
+        if v not in ex.VARIABLES:
+            raise SystemFormatError(f"{v!r} is not a variable name")
+    if len(set(frame)) != 3:
+        raise SystemFormatError(f"{key} lists a variable twice: {frame}")
+    return frame
+
+
+def _parts(text, n, key):
+    """The ``n`` ';'-separated formulas of ``text`` (any number if n is None)."""
+    parts = text.split(";")
+    if n is not None and len(parts) != n:
+        raise SystemFormatError(
+            f"{key} takes {n} formula{'s' if n > 1 else ''}, got {len(parts)} ';'-separated parts"
+        )
+    return tuple(parse(s.strip()) for s in parts)
+
+
+def _change_of_variables(keys):
+    """The ChangeOfVariables of the ``transform.*`` texts, keyed without the prefix."""
+    unknown = [k for k in keys if k not in _TRANSFORM_KEYS]
+    if unknown:
+        raise SystemFormatError(f"unknown key 'transform.{unknown[0]}'")
+    missing = [k for k in _TRANSFORM_KEYS[:4] if k not in keys]
+    if missing:
+        raise SystemFormatError(f"missing 'transform.{missing[0]}'")
+    triple = {k: _parts(keys[k], 3, f"transform.{k}") for k in _TRANSFORM_KEYS[1:4]}
+    rescale = {k: _parts(keys[k], 1, f"transform.{k}")[0] for k in _TRANSFORM_KEYS[4:] if k in keys}
+    return ChangeOfVariables(_frame(keys["source_frame"], "transform.source_frame"), **triple, **rescale)
 
 
 def load_system(document):
     """Parse the flat key-value system format into a SystemDef."""
     data = {}
+    notes = []
     params = []
     in_params = False
     for lineno, raw in enumerate(document.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key = line.split("=", 1)[0].strip().split()[0]
-        if key in _RESERVED and ("=" in line or line == key):
+        key, eq, value = (s.strip() for s in line.partition("="))
+        if key in _KEYS or key.startswith(("printed.", "transform.")):
             in_params = False
-            if "=" not in line:
+            if not eq:
                 raise SystemFormatError(f"line {lineno}: {key} needs a value")
-            data[key] = line.split("=", 1)[1].strip()
+            if key == "note":
+                notes.append(value)
+            else:
+                data[key] = value
             continue
         if line == "params":
             in_params = True
             continue
         if in_params:
-            pname, eq, ctext = (s.strip() for s in line.partition("="))
-            if not _PARAM_NAME.fullmatch(pname) or pname in ex.VARIABLES + ex.FUNCTIONS:
+            if not _PARAM_NAME.fullmatch(key) or key in ex.VARIABLES + ex.FUNCTIONS:
                 raise SystemFormatError(
-                    f"line {lineno}: {pname!r} is not a parameter name (an identifier "
+                    f"line {lineno}: {key!r} is not a parameter name (an identifier "
                     "that is neither a variable nor a function name)"
                 )
-            if any(p.name == pname for p in params):
-                raise SystemFormatError(f"line {lineno}: parameter {pname!r} is declared twice")
-            params.append(ParamSpec(pname, parse(ctext) if eq else None))
+            if any(p.name == key for p in params):
+                raise SystemFormatError(f"line {lineno}: parameter {key!r} is declared twice")
+            params.append(ParamSpec(key, parse(value) if eq else None))
             continue
         raise SystemFormatError(f"line {lineno}: unrecognized line {line!r}")
 
-    if "name" not in data:
-        raise SystemFormatError("missing 'name'")
-    if "frame" not in data:
-        raise SystemFormatError("missing 'frame'")
-    frame = tuple(data["frame"].split())
-    if len(frame) != 3:
-        raise SystemFormatError(
-            f"frame must list exactly three variables, got {frame}"
-        )
-    for v in frame:
-        if v not in ex.VARIABLES:
-            raise SystemFormatError(f"{v!r} is not a variable name")
+    for key in ("name", "frame", "field"):
+        if key not in data:
+            raise SystemFormatError(f"missing {key!r}")
+    frame = _frame(data["frame"], "frame")
     time = data.get("time", "t")
-    if "field" not in data:
-        raise SystemFormatError("missing 'field'")
-    comps = [s.strip() for s in data["field"].split(";")]
-    if len(comps) != 3:
-        raise SystemFormatError("field needs three ';'-separated components")
+    if time not in ex.VARIABLES or time in frame:
+        raise SystemFormatError(f"time must be a variable name outside the frame, got {time!r}")
     try:
-        fld = _field(comps, frame, time)
-        mult = _sf(data.get("multiplier", "1"), frame, time)
-        h1 = _sf(data["h1"], frame, time) if "h1" in data else None
-        h2 = _sf(data["h2"], frame, time) if "h2" in data else None
+        fld = VectorField3.from_exprs(_parts(data["field"], 3, "field"), frame, time)
+        mult, h1, h2 = (
+            None if text is None else ScalarField(parse(text), frame, time)
+            for text in (data.get("multiplier", "1"), data.get("h1"), data.get("h2"))
+        )
     except FrameError as err:
         raise SystemFormatError(str(err)) from None
     if mult.expr == ex.ZERO:
@@ -792,9 +619,33 @@ def load_system(document):
     else:
         raise SystemFormatError(f"orientation must be +1, -1 or auto, got {otext!r}")
 
+    cov = {k[len("transform."):]: v for k, v in data.items() if k.startswith("transform.")}
+    transform = _change_of_variables(cov) if cov else None
+    # the formulas verify.compare_printed has a derived counterpart for
+    comparable = ["field"]
+    if h1 is not None and h2 is not None:
+        comparable += ["J1", "J2", "H1", "H2"]
+    if transform is not None:
+        comparable += [f"transform_{v}" for v in frame]
+    printed = {}
+    for key, text in data.items():
+        if not key.startswith("printed."):
+            continue
+        formula = key[len("printed."):]
+        if formula not in comparable:
+            raise SystemFormatError(
+                f"{key} has nothing to be compared with; this system compares "
+                + ", ".join(f"printed.{k}" for k in comparable)
+            )
+        parts = _parts(text, 3 if formula in _TRIPLES else 1, key)
+        printed[formula] = parts if formula in _TRIPLES else parts[0]
+
+    nonzero = data.get("requires_nonzero")
+    nonzero = () if nonzero is None else _parts(nonzero, None, "requires_nonzero")
+
     return SystemDef(
         name=data["name"],
-        description="user-defined system",
+        description=data.get("description", "user-defined system"),
         frame=frame,
         time=time,
         params=tuple(params),
@@ -803,27 +654,46 @@ def load_system(document):
         h1=h1,
         h2=h2,
         orientation=orientation,
+        transform=transform,
+        printed=printed,
+        notes=tuple(notes),
+        requires_nonzero=nonzero,
     )
 
 
 def save_system(defn):
-    """Render a SystemDef back into the flat file format."""
-    lines = [f"name = {defn.name}", f"frame = {' '.join(defn.frame)}", f"time = {defn.time}"]
+    """Render a SystemDef in the file format; ``load_system`` reads the
+    text back as an equal SystemDef (parameter values are not kept)."""
+
+    def row(key, exprs):
+        return f"{key} = " + " ; ".join(str(e) for e in exprs)
+
+    lines = [
+        f"name = {defn.name}",
+        f"description = {defn.description}",
+        f"frame = {' '.join(defn.frame)}",
+        f"time = {defn.time}",
+    ]
     if defn.params:
         lines.append("params")
-        for p in defn.params:
-            if p.constraint is None:
-                lines.append(f"    {p.name}")
-            else:
-                lines.append(f"    {p.name} = {p.constraint}")
-    lines.append("field = " + " ; ".join(str(c.expr) for c in defn.field.components))
+        lines += [f"    {p.constraint_text()}" for p in defn.params]
+    lines.append(row("field", defn.field.exprs()))
     lines.append(f"multiplier = {defn.multiplier.expr}")
-    if defn.h1 is not None:
-        lines.append(f"h1 = {defn.h1.expr}")
-    if defn.h2 is not None:
-        lines.append(f"h2 = {defn.h2.expr}")
-    if defn.orientation is None:
-        lines.append("orientation = auto")
-    else:
-        lines.append(f"orientation = {defn.orientation:+d}")
+    lines += [f"{k} = {h.expr}" for k, h in (("h1", defn.h1), ("h2", defn.h2)) if h is not None]
+    lines.append("orientation = " + ("auto" if defn.orientation is None else f"{defn.orientation:+d}"))
+    if defn.requires_nonzero:
+        lines.append(row("requires_nonzero", defn.requires_nonzero))
+    lines += [f"note = {n}" for n in defn.notes]
+    lines += [
+        row(f"printed.{k}", v if isinstance(v, tuple) else (v,)) for k, v in defn.printed.items()
+    ]
+    cov = defn.transform
+    if cov is not None:
+        lines.append(f"transform.source_frame = {' '.join(cov.source_frame)}")
+        lines += [row(f"transform.{k}", getattr(cov, k)) for k in _TRANSFORM_KEYS[1:4]]
+        lines += [
+            f"transform.{k} = {getattr(cov, k)}"
+            for k in _TRANSFORM_KEYS[4:]
+            if getattr(cov, k) is not None
+        ]
     return "\n".join(lines) + "\n"

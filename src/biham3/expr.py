@@ -55,6 +55,7 @@ are reentrant.
 from __future__ import annotations
 
 import functools
+import keyword
 import math
 import re
 import sys
@@ -919,6 +920,13 @@ _ARRAY_ENV = {"_exp": np.exp, "_ln": np.log, "_sin": np.sin, "_cos": np.cos}
 
 
 def _lambda(body, exprs, names, env):
+    # the names become the lambda's parameters in generated source, which
+    # keeps names starting with '_' for its own (the functions, shared values)
+    for name in names:
+        if not name.isidentifier() or keyword.iskeyword(name) or name.startswith("_"):
+            raise ExprError(f"{name!r} cannot name an argument of a compiled function")
+    if len(set(names)) != len(names):
+        raise ExprError(f"argument names {names} repeat a name")
     for e in exprs:
         missing = e.free_symbols() - set(names)
         if missing:

@@ -6,6 +6,12 @@ The chain-rule transform oracle must confirm every stored field to
 1e-12.
 """
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from biham3 import catalog as cat
@@ -15,6 +21,7 @@ from biham3.vecfield import VectorField3, gradient
 from biham3.poisson import jacobi_residual
 
 BOX = {"u": (-2.0, 2.0), "v": (-2.0, 2.0), "w": (-2.0, 2.0), "t": (0.0, 2.0)}
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 STRUCTURED = ("lu-transformed", "modified-lu", "t-system", "chen", "chen-variant", "qi")
 
 
@@ -96,6 +103,13 @@ def test_transform_check_flags_published_chen_uw_coefficient():
     assert r["components"][1]["max_rel_dev"] > 0.01
 
 
+def test_transform_check_of_a_loaded_system():
+    # a system file with a transform is checked as itself, not looked up by name
+    doc = cat._DOCUMENTS["lu-transformed"].replace("name = lu-transformed", "name = my-lu")
+    r = cat.transform_check(cat.load_system(doc))
+    assert r["system"] == "my-lu" and r["pass"], r
+
+
 def test_transform_check_requires_metadata():
     with pytest.raises(cat.ConstraintError):
         cat.transform_check(cat.instantiate("lu-original"))
@@ -154,19 +168,72 @@ def test_chen_variant_first_integral_conserved_symbolically():
 def test_save_load_round_trip():
     for name in cat.BUILTIN_NAMES:
         d0 = cat.get_system(name)
-        d1 = cat.load_system(cat.save_system(d0))
-        assert d1.name == d0.name
-        assert d1.frame == d0.frame
-        assert d1.field.exprs() == d0.field.exprs()
-        assert d1.multiplier.expr == d0.multiplier.expr
-        assert (d1.h1 is None) == (d0.h1 is None)
-        if d0.h1 is not None:
-            assert d1.h1.expr == d0.h1.expr
-            assert d1.h2.expr == d0.h2.expr
-        assert d1.orientation == d0.orientation
-        assert [(p.name, p.constraint) for p in d1.params] == [
-            (p.name, p.constraint) for p in d0.params
-        ]
+        assert cat.load_system(cat.save_system(d0)) == d0
+
+
+def test_each_document_is_named_by_its_key():
+    for name, doc in cat._DOCUMENTS.items():
+        assert cat.load_system(doc).name == name
+
+
+def test_get_system_parses_once():
+    for name in cat.BUILTIN_NAMES:
+        assert cat.get_system(name) is cat.get_system(name)
+
+
+def test_import_parses_no_builtin_document():
+    # a fresh interpreter records each call of biham3's parse and load_system
+    code = (
+        "import sys\n"
+        "calls = []\n"
+        "def profile(frame, event, arg):\n"
+        "    f = frame.f_code\n"
+        "    if event == 'call' and f.co_name in ('parse', 'load_system') and 'biham3' in f.co_filename:\n"
+        "        calls.append(f.co_name)\n"
+        "sys.setprofile(profile)\n"
+        "import biham3.catalog as cat\n"
+        "assert calls == [], calls\n"
+        "cat.get_system('qi')\n"
+        "sys.setprofile(None)\n"
+        "assert calls[0] == 'load_system' and calls.count('load_system') == 1, calls\n"
+        "assert calls.count('parse') > 20, calls\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_load_reads_the_optional_keys():
+    doc = (
+        "name = osc\ndescription = a rotation\nframe = u v w\n"
+        "field = v ; -u ; 0\nh1 = u^2+v^2\nh2 = w\n"
+        "requires_nonzero = k ; k+1\nnote = first\nnote = second; with = signs\n"
+        "printed.H2 = 2*w\nprinted.J1 = 2*u ; 2*v ; 0\nprinted.transform_u = x\n"
+        "transform.source_frame = x y z\ntransform.source_field = y ; -x ; 0\n"
+        "transform.forward = x ; y ; z\ntransform.inverse = u ; v ; w\n"
+        "transform.time_rescale_rate = 1\n"
+        "params\n    k\n"
+    )
+    d = cat.load_system(doc)
+    assert d.description == "a rotation"
+    assert d.notes == ("first", "second; with = signs")
+    assert d.requires_nonzero == (parse("k"), parse("k+1"))
+    assert d.printed == {
+        "H2": parse("2*w"),
+        "J1": (parse("2*u"), parse("2*v"), ex.ZERO),
+        "transform_u": parse("x"),
+    }
+    assert d.transform == cat.ChangeOfVariables(
+        ("x", "y", "z"),
+        (parse("y"), parse("-x"), ex.ZERO),
+        (parse("x"), parse("y"), parse("z")),
+        (parse("u"), parse("v"), parse("w")),
+        time_rescale_rate=ex.ONE,
+    )
+    assert cat.load_system(cat.save_system(d)) == d
+    assert cat.load_system("name = bare\nframe = u v w\nfield = v ; -u ; 0\n").description == (
+        "user-defined system"
+    )
 
 
 def test_load_rejects_two_variable_frame():
@@ -226,4 +293,48 @@ def test_load_rejects_bad_parameter_lines(lines, message):
         + "field = v ; -u ; 0\n"
     )
     with pytest.raises(cat.SystemFormatError, match=message):
+        cat.load_system(doc)
+
+
+SYSTEM = "name = s\nframe = u v w\nfield = v ; -u ; 0\nh1 = u^2+v^2\nh2 = w\n"
+TRANSFORM = (
+    "transform.source_frame = x y z\ntransform.source_field = y ; -x ; 0\n"
+    "transform.forward = x ; y ; z\ntransform.inverse = u ; v ; w\n"
+)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (SYSTEM + "= x\n", "line 6: unrecognized line '= x'"),
+        (SYSTEM + "params\n    k\n = x\n", "line 8: '' is not a parameter name"),
+        (SYSTEM + "time = u\n", "time must be a variable name outside the frame, got 'u'"),
+        (SYSTEM + "time = zz=1/0\n", "time must be a variable name outside the frame, got 'zz=1/0'"),
+        (SYSTEM + "time = \n", "time must be a variable name outside the frame, got ''"),
+        ("name = s\nframe = u u w\nfield = v ; -u ; 0\n", r"frame lists a variable twice"),
+        (SYSTEM + "printed.J3 = 0 ; 0 ; 0\n", "printed.J3 has nothing to be compared with"),
+        (SYSTEM + "printed.h2 = w\n", "printed.h2 has nothing to be compared with"),
+        (SYSTEM + "printed.transform_u = x\n", "printed.transform_u has nothing to be compared"),
+        (SYSTEM + TRANSFORM + "printed.transform_x = x\n", "printed.transform_x has nothing"),
+        ("name = s\nframe = u v w\nfield = v ; -u ; 0\nprinted.J1 = u ; v ; w\n", "printed.J1 has"),
+        (SYSTEM + "printed.field = v ; -u\n", "printed.field takes 3 formulas, got 2"),
+        (SYSTEM + "printed.J2 = w\n", "printed.J2 takes 3 formulas, got 1"),
+        (SYSTEM + "printed.H1 = u^2 ; v^2\n", "printed.H1 takes 1 formula, got 2"),
+        (SYSTEM + TRANSFORM + "printed.transform_v = y ; x\n", "printed.transform_v takes 1"),
+        (SYSTEM + TRANSFORM + "transform.rate = 1\n", "unknown key 'transform.rate'"),
+        (SYSTEM + "transform.forward = x ; y ; z\n", "missing 'transform.source_frame'"),
+        (SYSTEM + TRANSFORM + "transform.time_rescale = t ; t\n", "transform.time_rescale takes 1"),
+        (SYSTEM + TRANSFORM.replace("x y z", "x y"), "transform.source_frame must list exactly"),
+        (SYSTEM + "note\n", "line 6: note needs a value"),
+    ],
+    ids=[
+        "empty-key", "empty-parameter-key", "time-in-frame", "time-code", "time-empty",
+        "frame-repeat", "printed-unknown", "printed-lowercase", "printed-transform-untransformed",
+        "printed-transform-off-frame", "printed-J-without-hamiltonians", "printed-field-parts",
+        "printed-J-parts", "printed-H-parts", "printed-transform-parts", "transform-unknown",
+        "transform-missing", "transform-rescale-parts", "transform-frame", "note-without-value",
+    ],
+)
+def test_load_rejects_malformed_documents(doc, message):
+    with pytest.raises(cat.SystemFormatError, match=re.escape(message)):
         cat.load_system(doc)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from biham3 import catalog as cat
 from biham3 import expr as ex
 from biham3.cli import main
 from biham3.expr import parse
@@ -417,6 +418,38 @@ def test_file_based_system(tmp_path, capsys):
     bad.write_text("name = x\nframe = u v\nfield = v ; -u ; 0\n")
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("name", cat.BUILTIN_NAMES)
+def test_a_saved_builtin_verifies_as_the_builtin(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.system"
+    path.write_text(cat.save_system(cat.get_system(name)))
+    results = []
+    for spec in (name, str(path)):
+        out = tmp_path / "report.json"
+        code = main(["verify", spec, "--seed", "42", "--deterministic", "--out", str(out)])
+        results.append((code, out.read_bytes()))
+    capsys.readouterr()
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("= x\n", "error: line 4: unrecognized line '= x'"),
+        ("time = u\n", "error: time must be a variable name outside the frame, got 'u'"),
+        ("time = zz=1/0\n", "error: time must be a variable name outside the frame, got 'zz=1/0'"),
+        ("frame = u u w\n", "error: frame lists a variable twice"),
+    ],
+    ids=["empty-key", "time-in-frame", "time-code", "frame-repeat"],
+)
+def test_a_malformed_system_file_is_a_usage_error(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.system"
+    path.write_text("name = bad\nframe = u v w\nfield = v ; -u ; 0\n" + body)
+    for argv in (["simulate", str(path), "--init", "1,0,0", "--t1", "1"], ["verify", str(path)]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
 
 
 def test_deterministic_reports_are_byte_identical(tmp_path):

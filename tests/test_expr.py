@@ -575,7 +575,8 @@ def test_parsing_runs_at_once_gives_the_folded_result(monkeypatch):
     texts = []
     with monkeypatch.context() as m:
         m.setattr(cat, "parse", lambda text: texts.append(text) or parse(text))
-        cat._build_catalog()
+        for name in cat.BUILTIN_NAMES:
+            cat.load_system(cat._DOCUMENTS[name])
     assert len(texts) > 100
     texts += [to_text(e) for e in catalog_expressions()]
     sampler = SeededSampler(11)
@@ -664,6 +665,20 @@ def test_compile_array_marks_domain_failures_non_finite():
     assert np.isfinite(A[3]).all()
     with pytest.raises(UnboundSymbolError):
         ex.compile_array([parse("u+v")], ("u",))
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("u", "zz=1/0"), ("u", "1x"), ("u", ""), ("u", "lambda"), ("u", "_exp"), ("u", "_s0"), ("u", "u")],
+    ids=["code", "not-identifier", "empty", "keyword", "environment-name", "shared-name", "repeated"],
+)
+def test_compile_refuses_names_that_are_not_plain_arguments(names):
+    # the names become the parameters of generated source, so a name is
+    # checked before any source is built from it
+    e = parse("u*exp(u) + exp(u)")
+    for compile_ in (ex.compile_fn, ex.compile_vector, ex.compile_columns, ex.compile_array):
+        with pytest.raises(ex.ExprError, match="cannot name an argument|repeat a name"):
+            compile_(e, names) if compile_ is ex.compile_fn else compile_([e], names)
 
 
 def test_a_repeated_function_is_evaluated_once(monkeypatch):
