@@ -172,8 +172,8 @@ def test_save_load_round_trip():
 
 
 def test_each_document_is_named_by_its_key():
-    for name, doc in cat._DOCUMENTS.items():
-        assert cat.load_system(doc).name == name
+    for name in cat.BUILTIN_NAMES:
+        assert cat.get_system(name).name == name
 
 
 def test_get_system_parses_once():
