@@ -35,7 +35,6 @@ System file format (all expressions in the grammar of
 
     name = my-system
     frame = u v w
-    time = t
     params
         alpha
         beta = 2*alpha
@@ -48,8 +47,10 @@ System file format (all expressions in the grammar of
 Each line under ``params`` is ``NAME`` (a free parameter) or
 ``NAME = EXPR`` (one pinned by a constraint); a name is an identifier
 that is neither a variable, a function name nor a key, declared once.  The
-three frame variables are distinct, and ``time`` (default t) is a
-variable outside the frame.  ``multiplier`` defaults to 1,
+time variable is ``t``: a frame (and a source frame) lists three distinct
+variables other than ``t``.  The line ``time = t``, which older files
+carry, is read and changes nothing; any other ``time`` is a format
+error.  ``multiplier`` defaults to 1,
 ``orientation`` (+1, -1 or auto) to auto (determined by the verifier).
 Lines starting with ``#`` are comments.  Optional keys carry what the
 built-in entries record about the paper::
@@ -129,7 +130,6 @@ class SystemDef:
     name: str
     description: str
     frame: tuple
-    time: str
     params: tuple  # ParamSpec, order matters for resolution
     field: VectorField3
     multiplier: ScalarField
@@ -157,7 +157,7 @@ class SystemDef:
     def bound_scalar(self, sf):
         if sf is None:
             return None
-        return ScalarField(self.bound_expr(sf.expr), sf.frame, sf.time)
+        return ScalarField(self.bound_expr(sf.expr), sf.frame)
 
     def bound_field(self):
         return VectorField3(tuple(self.bound_scalar(c) for c in self.field.components))
@@ -177,7 +177,7 @@ class SystemDef:
         if m == ex.ONE:
             return js
         return tuple(
-            VectorField3.from_exprs([ex.quot(e, m) for e in j.exprs()], j.frame, j.time) for j in js
+            VectorField3.from_exprs([ex.quot(e, m) for e in j.exprs()], j.frame) for j in js
         )
 
     def nambu_structure(self):
@@ -427,7 +427,7 @@ def instantiate(name_or_def, params=None, **kw):
 
     Missing dependent parameters are filled from the constraints;
     expressions keep their symbolic parameters, with the values recorded
-    for evaluation.
+    for evaluation, so a value past the float range is a LimitError.
     """
     defn = (
         get_system(name_or_def) if isinstance(name_or_def, str) else name_or_def
@@ -435,6 +435,8 @@ def instantiate(name_or_def, params=None, **kw):
     supplied = dict(params or {})
     supplied.update(kw)
     values = _resolve_params(defn, supplied)
+    for k, v in values.items():
+        ex.to_float(v, f"parameter {k}")
     for req in defn.requires_nonzero:
         bound = ex.substitute(req, {k: ex.con(v) for k, v in values.items()})
         if isinstance(bound, ex.Const) and bound.value == 0:
@@ -471,7 +473,7 @@ def transform_check(defn, field=None):
 
     derived = []
     for fwd in cov.forward:
-        total = ex.differentiate(fwd, "t")
+        total = ex.differentiate(fwd, ex.TIME)
         for xj, xdot in zip(cov.source_frame, cov.source_field):
             total = ex.add(total, ex.mul(ex.differentiate(fwd, xj), xdot))
         total = ex.substitute(total, inverse_map)
@@ -480,7 +482,7 @@ def transform_check(defn, field=None):
         derived.append(ex.substitute(total, binding))
 
     target = field if field is not None else defn.field
-    domain = verification_box((*defn.frame, "t"), "t")
+    domain = verification_box((*defn.frame, ex.TIME))
     comps = []
     worst = 0.0
     for i, (d, c) in enumerate(zip(derived, target.components)):
@@ -531,6 +533,8 @@ def _frame(text, key):
             raise SystemFormatError(f"{v!r} is not a variable name")
     if len(set(frame)) != 3:
         raise SystemFormatError(f"{key} lists a variable twice: {frame}")
+    if ex.TIME in frame:
+        raise SystemFormatError(f"{key} must not list the time variable {ex.TIME}, got {frame}")
     return frame
 
 
@@ -596,13 +600,12 @@ def load_system(document):
         if key not in data:
             raise SystemFormatError(f"missing {key!r}")
     frame = _frame(data["frame"], "frame")
-    time = data.get("time", "t")
-    if time not in ex.VARIABLES or time in frame:
-        raise SystemFormatError(f"time must be a variable name outside the frame, got {time!r}")
+    if data.get("time", ex.TIME) != ex.TIME:
+        raise SystemFormatError(f"time must be {ex.TIME}, got {data['time']!r}")
     try:
-        fld = VectorField3.from_exprs(_parts(data["field"], 3, "field"), frame, time)
+        fld = VectorField3.from_exprs(_parts(data["field"], 3, "field"), frame)
         mult, h1, h2 = (
-            None if text is None else ScalarField(parse(text), frame, time)
+            None if text is None else ScalarField(parse(text), frame)
             for text in (data.get("multiplier", "1"), data.get("h1"), data.get("h2"))
         )
     except FrameError as err:
@@ -647,7 +650,6 @@ def load_system(document):
         name=data["name"],
         description=data.get("description", "user-defined system"),
         frame=frame,
-        time=time,
         params=tuple(params),
         field=fld,
         multiplier=mult,
@@ -672,7 +674,6 @@ def save_system(defn):
         f"name = {defn.name}",
         f"description = {defn.description}",
         f"frame = {' '.join(defn.frame)}",
-        f"time = {defn.time}",
     ]
     if defn.params:
         lines.append("params")

@@ -173,7 +173,7 @@ def _cmd_discover(args):
             rate = ex.ONE
         rate = defn.bound_expr(rate)
     try:
-        basis = build_basis(args.degree, defn.frame, weights=weights, rate=rate, time=defn.time)
+        basis = build_basis(args.degree, defn.frame, weights=weights, rate=rate)
         if args.functional != "multiplier" and len(basis) < 2:
             raise _Usage("basis must have at least two elements")
         n = sample_count(len(basis), args.samples)
@@ -226,7 +226,7 @@ def _cmd_bracket(args):
             raise _Usage(f"--at gives no value for {', '.join(sorted(unbound))}")
         try:
             print(f"= {ex.evaluate(bracket.expr, point):.17g}")
-        except ex.ExprError as err:
+        except ex.DomainError as err:
             print(f"evaluation failed: {err}", file=sys.stderr)
             return 1
     return 0

@@ -80,7 +80,6 @@ class AnsatzBasis:
     elements: tuple  # ScalarField
     degree: int
     frame: tuple
-    time: str
     weights: tuple = None
     rate: object = None
 
@@ -98,7 +97,7 @@ class AnsatzBasis:
         return out
 
 
-def build_basis(degree, frame, weights=None, rate=None, time="t"):
+def build_basis(degree, frame, weights=None, rate=None):
     """All monomials of total degree <= degree over the frame, each
     optionally times exp(k*rate*t) for k in ``weights`` (k=0 means no
     weight); duplicates removed.  A basis that no search could sample
@@ -108,10 +107,8 @@ def build_basis(degree, frame, weights=None, rate=None, time="t"):
     kset = (0,) if weights is None else weights
     if not kset:
         raise DiscoveryError("weights must list at least one k")
-    if weights is not None:
-        if rate is None:
-            raise DiscoveryError("weights need a rate expression")
-        rate = ex.parse(rate) if isinstance(rate, str) else rate
+    if weights is not None and rate is None:
+        raise DiscoveryError("weights need a rate expression")
     # sized before it is iterated, so a huge range is refused unbuilt
     sample_count(math.comb(degree + 3, 3) * len(kset))
     kset = tuple(kset)
@@ -133,12 +130,12 @@ def build_basis(degree, frame, weights=None, rate=None, time="t"):
         for m in monomials:
             e = m
             if k != 0:
-                e = ex.mul(m, ex.exp_(ex.mul(ex.con(k), rate, ex.var(time))))
+                e = ex.mul(m, ex.exp_(ex.mul(ex.con(k), rate, ex.var(ex.TIME))))
             if e in seen:
                 continue
             seen.add(e)
-            elements.append(ScalarField(e, frame, time))
-    return AnsatzBasis(tuple(elements), degree, frame, time, weights and kset, rate)
+            elements.append(ScalarField(e, frame))
+    return AnsatzBasis(tuple(elements), degree, frame, weights and kset, rate)
 
 
 @dataclass(frozen=True)
@@ -193,9 +190,9 @@ def _candidate_dict(c):
     }
 
 
-def _default_domain(frame, time):
+def _default_domain(frame):
     box = {v: (-2.0, 2.0) for v in frame}
-    box[time] = (0.0, 1.0)
+    box[ex.TIME] = (0.0, 1.0)
     return box
 
 
@@ -225,7 +222,7 @@ def _derivative_rows(X, basis, total):
             w = ex.expand(w)
             parts = [ex.mul(term, w) for term in terms(g)]
         if total:
-            parts.append(ex.expand(ex.differentiate(b.expr, basis.time)))
+            parts.append(ex.expand(ex.differentiate(b.expr, ex.TIME)))
         rows.append(ex.add(*parts))
     return rows
 
@@ -294,7 +291,7 @@ def _nullity_check(rows, basis, n, seed, nullity):
     """The singular values of the rows at n seeded points, once they show
     the nullity the term equations gave.  Raises DiscoveryError when the
     rank is ambiguous or the nullities differ."""
-    names, pts = sample_box(SeededSampler(seed), _default_domain(basis.frame, basis.time), n)
+    names, pts = sample_box(SeededSampler(seed), _default_domain(basis.frame), n)
     A = ex.compile_array(rows, names)(pts)
     if not np.isfinite(A).all():
         raise DiscoveryError("the functional is not finite at every sample point")
@@ -372,12 +369,12 @@ def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
         raise DiscoveryError("basis must not be empty")
     rows = _multiplier_rows(X, basis)
     result = _search("multiplier", basis, rows, n, seed)
-    box = _default_domain(basis.frame, basis.time)
+    box = _default_domain(basis.frame)
     names, pts = sample_box(SeededSampler(result.seed + 2), box, 500)
     B = ex.compile_array([b.expr for b in basis.elements], names)(pts)
     flagged = []
     for cand in result.candidates:
-        vals = B @ np.array([float(c) for c in cand.coefficients])
+        vals = B @ np.array([ex.to_float(c, "a candidate coefficient") for c in cand.coefficients])
         flags = cand.flags
         top = np.abs(vals).max()
         sign_change = vals.min() < 0.0 < vals.max()

@@ -65,6 +65,7 @@ from fractions import Fraction
 import numpy as np
 
 VARIABLES = ("t", "u", "v", "w", "x", "y", "z")
+TIME = "t"  # the one time variable; a frame holds three of the others
 FUNCTIONS = ("exp", "ln", "sin", "cos")
 MAX_NESTING = 100  # parser limit on nested parentheses, unary minus and ^
 MAX_EXPONENT = 1000  # largest |n| of an integer power; constant powers also cap their size
@@ -86,7 +87,8 @@ class NonIntegerExponentError(ParseError):
 
 
 class LimitError(ExprError):
-    """An expression past MAX_EXPONENT or MAX_TERMS."""
+    """An expression past MAX_EXPONENT or MAX_TERMS, or a constant that
+    no float holds."""
 
 
 class UnknownFunctionError(ParseError):
@@ -824,14 +826,24 @@ def independent(t):
 # numeric evaluation
 
 
+def to_float(value, what="a constant"):
+    """``float(value)``; LimitError for a number past the float range,
+    which is bad input wherever it is evaluated."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise LimitError(f"{what} is outside the float range") from None
+
+
 def evaluate(e, bindings):
     """IEEE-double evaluation with every free symbol bound.
 
-    Raises UnboundSymbolError for missing symbols and DomainError for
-    ln of non-positive values, division by zero, or overflow.
+    Raises UnboundSymbolError for missing symbols, LimitError for a
+    constant past the float range, and DomainError for ln of
+    non-positive values, division by zero, or overflow.
     """
     if isinstance(e, Const):
-        return float(e.value)
+        return to_float(e.value)
     if isinstance(e, (Var, Param)):
         try:
             return float(bindings[e.name])
@@ -871,7 +883,7 @@ def evaluate(e, bindings):
 
 def _emit(e, names, shared, bound):
     if isinstance(e, Const):
-        return repr(float(e.value))
+        return repr(to_float(e.value))
     if isinstance(e, (Var, Param)):
         if e.name not in names:
             raise UnboundSymbolError(e.name)

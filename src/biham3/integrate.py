@@ -204,7 +204,7 @@ class Trajectory:
         names = list(self.monitors)
         row = ",".join(["%.17g"] * (4 + len(names))) + "\n"
         columns = (self.times, self.states, *self.monitors.values())
-        write(",".join(["t", *self.frame, *names]) + "\n")
+        write(",".join([ex.TIME, *self.frame, *names]) + "\n")
         for k in range(0, len(self.times), _BLOCK):
             table = np.column_stack([c[k : k + _BLOCK] for c in columns]).tolist()
             write("".join([row % tuple(values) for values in table]))
@@ -215,11 +215,11 @@ def _compile_rhs(X: VectorField3, quadratures):
     """One ``f(u, v, w, t)`` returning the field components followed by
     the quadrature integrands."""
     exprs = [c.expr for c in X.components] + [q.expr for q in quadratures]
-    return ex.compile_vector(exprs, X.frame + (X.time,))
+    return ex.compile_vector(exprs, X.frame + (ex.TIME,))
 
 
-def _compile_monitors(monitors, frame, time):
-    names = frame + (time,)
+def _compile_monitors(monitors, frame):
+    names = frame + (ex.TIME,)
     return [(name, ex.compile_fn(sf.expr, names)) for name, sf in monitors]
 
 
@@ -266,7 +266,7 @@ def ensemble(X, configs, monitors=None, quadratures=None):
             groups.setdefault((cfg.t0, cfg.t1, cfg.sample_dt), []).append(n)
     groups = [members for members in groups.values() if len(members) >= _BATCH_MIN]
     if groups:
-        names = X.frame + (X.time,)
+        names = X.frame + (ex.TIME,)
         f = ex.compile_columns([c.expr for c in X.components] + [sf.expr for _, sf in quadratures], names)
         mon = ex.compile_columns([sf.expr for _, sf in monitors], names)
         mon_names = [name for name, _ in monitors]
@@ -277,7 +277,7 @@ def ensemble(X, configs, monitors=None, quadratures=None):
     rest = [n for n, traj in enumerate(out) if traj is None]
     if rest:
         rhs = _compile_rhs(X, [sf for _, sf in quadratures])
-        mons = _compile_monitors(monitors, X.frame, X.time)
+        mons = _compile_monitors(monitors, X.frame)
         adaptive = any(configs[n].method == "adaptive" for n in rest)
         kernel = _dopri_kernel(3 + len(quadratures)) if adaptive else None
         for n in rest:

@@ -38,9 +38,9 @@ def _grad(H):
     return gradient(H)
 
 
-def coordinate_field(name, frame, time="t"):
+def coordinate_field(name, frame):
     """The coordinate function x_i as a ScalarField."""
-    return ScalarField(ex.var(name), frame, time)
+    return ScalarField(ex.var(name), frame)
 
 
 def poisson_bracket(F: ScalarField, H: ScalarField, J: VectorField3) -> ScalarField:
@@ -68,9 +68,7 @@ def casimir_residual(J, C) -> VectorField3:
 
 def compatibility_residual(J1, J2) -> ScalarField:
     """J1 . curl(J2) + J2 . curl(J1); zero for a compatible pair."""
-    return ScalarField(
-        ex.add(dot(J1, curl(J2)).expr, dot(J2, curl(J1)).expr), J1.frame, J1.time
-    )
+    return ScalarField(ex.add(dot(J1, curl(J2)).expr, dot(J2, curl(J1)).expr), J1.frame)
 
 
 def pencil(J1, J2, c) -> VectorField3:
@@ -85,7 +83,7 @@ def nambu_bracket(
     t = triple(gradient(F), gradient(H1), gradient(H2))
     if M.expr == ex.ONE:
         return t
-    return ScalarField(ex.quot(t.expr, M.expr), t.frame, t.time)
+    return ScalarField(ex.quot(t.expr, M.expr), t.frame)
 
 
 def nambu_field(H1, H2, M: ScalarField) -> VectorField3:
@@ -95,9 +93,7 @@ def nambu_field(H1, H2, M: ScalarField) -> VectorField3:
     c = cross(_grad(H1), _grad(H2))
     if M.expr == ex.ONE:
         return c
-    return VectorField3(
-        tuple(ScalarField(ex.quot(s.expr, M.expr), s.frame, s.time) for s in c.components)
-    )
+    return VectorField3.from_exprs([ex.quot(e, M.expr) for e in c.exprs()], c.frame)
 
 
 def fundamental_identity_parts(F1, F2, H1, H2, H3, M):
@@ -125,9 +121,9 @@ def multiplier_residual(M: ScalarField, X: VectorField3) -> ScalarField:
 def flow_residual(X: VectorField3, F: VectorField3, sigma) -> VectorField3:
     """X - sigma*F componentwise, left unexpanded so that whoever decides
     it expands each component once."""
-    if X.frame != F.frame or X.time != F.time:
+    if X.frame != F.frame:
         raise FrameError("flow residual arguments disagree on frame")
     s = ex.con(-sigma)
     return VectorField3.from_exprs(
-        [ex.add(x, ex.mul(s, f)) for x, f in zip(X.exprs(), F.exprs())], X.frame, X.time
+        [ex.add(x, ex.mul(s, f)) for x, f in zip(X.exprs(), F.exprs())], X.frame
     )

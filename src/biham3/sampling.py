@@ -73,10 +73,10 @@ def sample_box(sampler, box, n, keep=None):
     return names, P
 
 
-def verification_box(symbols, time):
+def verification_box(symbols):
     """The default verification box: ``[-2, 2]`` for each symbol,
-    ``[0, 2]`` for the time variable."""
-    return {s: (0.0, 2.0) if s == time else (-2.0, 2.0) for s in symbols}
+    ``[0, 2]`` for the time variable ``t``."""
+    return {s: (0.0, 2.0) if s == ex.TIME else (-2.0, 2.0) for s in symbols}
 
 
 def random_polynomial(sampler, symbols, degree):

@@ -1,8 +1,10 @@
 """3D vector calculus over expression trees.
 
-Spatial operators act on the three frame variables only; the time
-variable rides along as a passive symbol, which is what the
-time-dependent Hamiltonians of the transformed chaotic systems require.
+A field is an expression over a frame of three spatial variables and
+the one time variable ``t`` (``expr.TIME``).  Spatial operators act on
+the frame variables only; ``t`` rides along as a passive symbol, which
+is what the time-dependent Hamiltonians of the transformed chaotic
+systems require.
 Results are expand-normalized so that structural identities
 (curl of a gradient, divergence of a curl) cancel symbolically.
 """
@@ -19,28 +21,18 @@ class FrameError(ex.ExprError):
     pass
 
 
-def _as_expr(e):
-    if isinstance(e, Expr):
-        return e
-    if isinstance(e, str):
-        return ex.parse(e)
-    return ex.con(e)
-
-
 @dataclass(frozen=True)
 class ScalarField:
-    """An expression over a fixed spatial frame plus optional time."""
+    """An expression over a fixed spatial frame plus the time ``t``."""
 
     expr: Expr
     frame: tuple
-    time: str = "t"
 
     def __post_init__(self):
-        object.__setattr__(self, "expr", _as_expr(self.expr))
         object.__setattr__(self, "frame", tuple(self.frame))
         if len(self.frame) != 3:
             raise FrameError(f"frame must have three variables, got {self.frame}")
-        allowed = set(self.frame) | ({self.time} if self.time else set())
+        allowed = {*self.frame, ex.TIME}
         stray = {
             s
             for s in self.expr.free_symbols()
@@ -52,7 +44,7 @@ class ScalarField:
             )
 
     def is_time_independent(self):
-        return self.time not in self.expr.free_symbols()
+        return ex.TIME not in self.expr.free_symbols()
 
     def __str__(self):
         return str(self.expr)
@@ -68,21 +60,17 @@ class VectorField3:
             raise FrameError("a 3D vector field needs three components")
         f0 = comps[0]
         for c in comps[1:]:
-            if c.frame != f0.frame or c.time != f0.time:
-                raise FrameError("components disagree on frame/time")
+            if c.frame != f0.frame:
+                raise FrameError("components disagree on frame")
         object.__setattr__(self, "components", comps)
 
     @classmethod
-    def from_exprs(cls, exprs, frame, time="t"):
-        return cls(tuple(ScalarField(e, frame, time) for e in exprs))
+    def from_exprs(cls, exprs, frame):
+        return cls(tuple(ScalarField(e, frame) for e in exprs))
 
     @property
     def frame(self):
         return self.components[0].frame
-
-    @property
-    def time(self):
-        return self.components[0].time
 
     def exprs(self):
         return tuple(c.expr for c in self.components)
@@ -97,12 +85,12 @@ class VectorField3:
 def _check_same_frame(*fields):
     f0 = fields[0]
     for f in fields[1:]:
-        if f.frame != f0.frame or f.time != f0.time:
+        if f.frame != f0.frame:
             raise FrameError(f"frame mismatch: {f.frame} vs {f0.frame}")
 
 
 def _wrap(e, like):
-    return ScalarField(expand(e), like.frame, like.time)
+    return ScalarField(expand(e), like.frame)
 
 
 def gradient(f: ScalarField) -> VectorField3:
@@ -154,8 +142,7 @@ def triple(V1: VectorField3, V2: VectorField3, V3: VectorField3) -> ScalarField:
     return dot(V1, cross(V2, V3))
 
 
-def scale(V: VectorField3, s) -> VectorField3:
-    s = _as_expr(s)
+def scale(V: VectorField3, s: Expr) -> VectorField3:
     return VectorField3(
         tuple(_wrap(ex.mul(s, c.expr), V.components[0]) for c in V.components)
     )
@@ -174,7 +161,7 @@ def vadd(V1: VectorField3, V2: VectorField3) -> VectorField3:
 def fd_gradient(f: ScalarField, point, h=1e-6):
     """Central-difference spatial gradient at a point.
 
-    ``point`` binds the frame variables, time, and any parameters.
+    ``point`` binds the frame variables, ``t``, and any parameters.
     """
     if h <= 0:
         raise ValueError("h must be positive")

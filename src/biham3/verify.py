@@ -180,7 +180,7 @@ def _derive(defn):
         defn = instantiate(defn)
     d = SimpleNamespace(
         defn=defn,
-        box=verification_box((*defn.frame, defn.time), defn.time),
+        box=verification_box((*defn.frame, ex.TIME)),
         X=defn.bound_field(),
         M=defn.bound_scalar(defn.multiplier),
     )
@@ -385,7 +385,7 @@ def _compare_printed(d, cfg):
             if ex.is_zero(ex.sub(p, w)):
                 entry.update(match=True, method="exact", max_dev=0.0, max_rel_dev=0.0, at=[])
             else:
-                box = verification_box(p.free_symbols() | w.free_symbols(), defn.time)
+                box = verification_box(p.free_symbols() | w.free_symbols())
                 r = ex.equal_numeric(p, w, box, n=min(cfg.n, 200), tol=1e-9, seed=cfg.seed)
                 entry.update(
                     match=bool(r.equal),
@@ -410,14 +410,14 @@ def verify_fundamental_identity(M: ScalarField, cfg=None, instances=3):
     ``FI_TOL``, with the worst point as its witness.
     """
     cfg = cfg or SampleConfig(n=50)
-    frame, time = M.frame, M.time
+    frame = M.frame
     sampler = SeededSampler(cfg.seed)
     residuals = []
     for _ in range(instances):
-        fs = [ScalarField(random_polynomial(sampler, frame, 2), frame, time) for _ in range(5)]
+        fs = [ScalarField(random_polynomial(sampler, frame, 2), frame) for _ in range(5)]
         lhs, rhs = fundamental_identity_parts(*fs, M)
         residuals.append(ex.sub(lhs.expr, ex.add(*(r.expr for r in rhs))))
-    box = verification_box((*frame, time), time)
+    box = verification_box((*frame, ex.TIME))
     return _decide(
         "fundamental_identity", residuals, lambda: sample_box(sampler, box, cfg.n), FI_TOL
     )
@@ -428,5 +428,5 @@ def flipped_sign_variant(defn, component):
     (negative control for the structure checks)."""
     comps = list(defn.field.components)
     c = comps[component]
-    comps[component] = ScalarField(ex.neg(c.expr), c.frame, c.time)
+    comps[component] = ScalarField(ex.neg(c.expr), c.frame)
     return replace(defn, field=VectorField3(tuple(comps)), name=f"{defn.name}~flip{component}")

@@ -49,7 +49,7 @@ def test_modified_lu_second_poisson_vector_matches_neither_h2():
     assert all(verdict(e[f"J2[{i}]"]) == (False, "sampled") for i in range(3))
     # nor is it -grad of the published H2: only the w components agree
     d = cat.instantiate("modified-lu")
-    printed_h2 = ScalarField(d.bound_expr(d.printed["H2"]), d.frame, d.time)
+    printed_h2 = ScalarField(d.bound_expr(d.printed["H2"]), d.frame)
     agree = [
         ex.equal_numeric(d.bound_expr(p), ex.neg(g), BOX, n=100, tol=1e-9).equal
         for p, g in zip(d.printed["J2"], gradient(printed_h2).exprs())

@@ -171,6 +171,17 @@ def test_save_load_round_trip():
         assert cat.load_system(cat.save_system(d0)) == d0
 
 
+def test_the_time_variable_is_t():
+    for name in cat.BUILTIN_NAMES:
+        text = cat.save_system(cat.get_system(name))
+        assert not [line for line in text.splitlines() if line.partition("=")[0].strip() == "time"]
+        assert cat.load_system(text) == cat.get_system(name)
+        # files written before the time variable was fixed carry `time = t`
+        frame = next(line for line in text.splitlines() if line.startswith("frame"))
+        older = text.replace(frame, frame + "\ntime = t")
+        assert older != text and cat.load_system(older) == cat.get_system(name)
+
+
 def test_each_document_is_named_by_its_key():
     for name in cat.BUILTIN_NAMES:
         assert cat.get_system(name).name == name
@@ -308,9 +319,9 @@ TRANSFORM = (
     [
         (SYSTEM + "= x\n", "line 6: unrecognized line '= x'"),
         (SYSTEM + "params\n    k\n = x\n", "line 8: '' is not a parameter name"),
-        (SYSTEM + "time = u\n", "time must be a variable name outside the frame, got 'u'"),
-        (SYSTEM + "time = zz=1/0\n", "time must be a variable name outside the frame, got 'zz=1/0'"),
-        (SYSTEM + "time = \n", "time must be a variable name outside the frame, got ''"),
+        (SYSTEM + "time = u\n", "time must be t, got 'u'"),
+        (SYSTEM + "time = zz=1/0\n", "time must be t, got 'zz=1/0'"),
+        (SYSTEM + "time = \n", "time must be t, got ''"),
         ("name = s\nframe = u u w\nfield = v ; -u ; 0\n", r"frame lists a variable twice"),
         (SYSTEM + "printed.J3 = 0 ; 0 ; 0\n", "printed.J3 has nothing to be compared with"),
         (SYSTEM + "printed.h2 = w\n", "printed.h2 has nothing to be compared with"),
@@ -336,5 +347,22 @@ TRANSFORM = (
     ],
 )
 def test_load_rejects_malformed_documents(doc, message):
+    with pytest.raises(cat.SystemFormatError, match=re.escape(message)):
+        cat.load_system(doc)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (SYSTEM + "time = x\n", "time must be t, got 'x'"),
+        (SYSTEM.replace("u v w", "t u v"), "frame must not list the time variable t, got ('t', 'u', 'v')"),
+        (
+            SYSTEM + TRANSFORM.replace("x y z", "t y z"),
+            "transform.source_frame must not list the time variable t, got ('t', 'y', 'z')",
+        ),
+    ],
+    ids=["other-time", "time-in-frame", "time-in-source-frame"],
+)
+def test_load_refuses_a_time_variable_other_than_t(doc, message):
     with pytest.raises(cat.SystemFormatError, match=re.escape(message)):
         cat.load_system(doc)

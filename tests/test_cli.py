@@ -437,8 +437,8 @@ def test_a_saved_builtin_verifies_as_the_builtin(tmp_path, capsys, name):
     "body,message",
     [
         ("= x\n", "error: line 4: unrecognized line '= x'"),
-        ("time = u\n", "error: time must be a variable name outside the frame, got 'u'"),
-        ("time = zz=1/0\n", "error: time must be a variable name outside the frame, got 'zz=1/0'"),
+        ("time = u\n", "error: time must be t, got 'u'"),
+        ("time = zz=1/0\n", "error: time must be t, got 'zz=1/0'"),
         ("frame = u u w\n", "error: frame lists a variable twice"),
     ],
     ids=["empty-key", "time-in-frame", "time-code", "frame-repeat"],
@@ -450,6 +450,74 @@ def test_a_malformed_system_file_is_a_usage_error(tmp_path, capsys, body, messag
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith(message)
+
+
+COMMANDS = {
+    "verify": ["--samples", "10"],
+    "simulate": ["--init", "1,0,0", "--t1", "1"],
+    "discover": ["--degree", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("frame = t u v\n", "error: frame must not list the time variable t, got ('t', 'u', 'v')"),
+        ("frame = u v w\ntime = x\n", "error: time must be t, got 'x'"),
+    ],
+    ids=["time-in-frame", "other-time"],
+)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_time_variable_is_t(tmp_path, capsys, command, text, message):
+    # a frame holding t once gave simulate the CSV header t,t,u,v
+    path = tmp_path / "timed.system"
+    path.write_text("name = timed\n" + text + "field = v ; -u ; 0\n")
+    code, out, err = run([command, str(path), *COMMANDS[command]], capsys)
+    assert (code, out) == (2, "")
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "field,command",
+    [("1e400*v ; -u ; 0", "simulate"), ("1e400*u ; -u ; 0", "verify")],
+    ids=["simulate", "sampled-verify"],
+)
+def test_a_constant_past_the_float_range_is_a_usage_error(tmp_path, capsys, field, command):
+    path = tmp_path / "huge.system"
+    path.write_text(f"name = huge\nframe = u v w\nfield = {field}\n")
+    code, out, err = run([command, str(path), *COMMANDS[command]], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: a constant is outside the float range\n"
+
+
+def test_a_bracket_constant_past_the_float_range_is_a_usage_error(capsys):
+    code, out, err = run(
+        ["bracket", "--j", "0;0;1", "--f", "1e400*u", "--h", "v", "--at", "u=1,v=1,w=1"], capsys
+    )
+    assert code == 2 and out.startswith("-1" + "0" * 400 + "\n")
+    assert err == "error: a constant is outside the float range\n"
+    # a value that overflows only at the point is an evaluation failure
+    code, out, err = run(["bracket", "--j", "0;0;1", "--f", "u^3", "--h", "v", "--at", "u=1e200"], capsys)
+    assert (code, out) == (1, "-3*u^2\n")
+    assert err.startswith("evaluation failed:")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_parameter_past_the_float_range_is_a_usage_error(capsys, command):
+    argv = [command, "lu-transformed", "--param", "alpha=1e400", *COMMANDS[command]]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: parameter alpha is outside the float range\n"
+
+
+def test_a_candidate_past_the_float_range_is_a_usage_error(tmp_path, capsys):
+    # div(M X) = dM/du + 1e400*dM/dv vanishes for M = 1e400*u - v, whose
+    # vanishing check needs its coefficients as floats
+    path = tmp_path / "steep.system"
+    path.write_text("name = steep\nframe = u v w\nfield = 1 ; 1e400 ; 0\n")
+    code, out, err = run(["discover", str(path), "--degree", "1", "--functional", "multiplier"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: a candidate coefficient is outside the float range\n"
 
 
 def test_deterministic_reports_are_byte_identical(tmp_path):

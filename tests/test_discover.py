@@ -80,7 +80,7 @@ def test_lu_transformed_nullspace():
     assert res.nullspace_dim == 3
     exprs = {str(c.expr) for c in res.candidates}
     assert "1" in exprs
-    assert all(_functional("first-integral", X, c.expr, "t") == ex.ZERO for c in res.candidates)
+    assert all(_functional("first-integral", X, c.expr) == ex.ZERO for c in res.candidates)
     known = [d.bound_scalar(d.h1), ScalarField(parse("u^2-2*w"), UVW)]
     res = annotate(res, known)
     for a, sf in zip(res.annotations, known):
@@ -264,11 +264,11 @@ def test_nonautonomous_h2_family_experiment():
     assert _rebuilt(spatial, spatial.annotations[0]) == ex.expand(h2.expr)
 
 
-def _functional(kind, X, F, time):
+def _functional(kind, X, F):
     """The search's functional applied to F directly, expanded."""
     if kind == "multiplier":
         return ex.expand(divergence(scale(X, F)).expr)
-    e = ex.differentiate(F, time) if kind == "first-integral" else ex.ZERO
+    e = ex.differentiate(F, ex.TIME) if kind == "first-integral" else ex.ZERO
     for c, v in zip(X.exprs(), X.frame):
         e = ex.add(e, ex.mul(ex.differentiate(F, v), c))
     return ex.expand(e)
@@ -285,7 +285,7 @@ def _svd_nullspace(rows, basis):
     """The numerical nullspace of the rows at seeded points of the search
     domain: the right singular vectors whose singular values are below
     1e-10 of the largest."""
-    box = {v: (-2.0, 2.0) for v in basis.frame} | {basis.time: (0.0, 1.0)}
+    box = {v: (-2.0, 2.0) for v in basis.frame} | {ex.TIME: (0.0, 1.0)}
     names, pts = sample_box(SeededSampler(42), box, sample_count(len(basis)))
     _, svals, Vt = np.linalg.svd(ex.compile_array(rows, names)(pts))
     return Vt[svals <= 1e-10 * svals[0]]
@@ -297,8 +297,8 @@ def test_exact_route_agrees_with_the_sampled_oracle(name):
     X = d.bound_field()
     rate = ex.con(d.param_values["alpha"]) if "alpha" in d.param_values else ex.ONE
     for basis in (
-        build_basis(2, d.frame, time=d.time),
-        build_basis(3, d.frame, weights=(-1, 0), rate=rate, time=d.time),
+        build_basis(2, d.frame),
+        build_basis(3, d.frame, weights=(-1, 0), rate=rate),
     ):
         for kind, search in SEARCHES:
             if kind == "multiplier":
@@ -306,11 +306,11 @@ def test_exact_route_agrees_with_the_sampled_oracle(name):
             else:
                 rows = _derivative_rows(X, basis, kind == "first-integral")
                 # the weight-factored rows equal grad(b).X (+ db/dt) expanded whole
-                assert rows == [_functional(kind, X, b.expr, d.time) for b in basis.elements]
+                assert rows == [_functional(kind, X, b.expr) for b in basis.elements]
             res = search(X, basis)
             assert res.method == "exact" and res.singular_values == () and res.n_points == 0
             for c in res.candidates:
-                assert _functional(kind, X, c.expr, d.time) == ex.ZERO, str(c.expr)
+                assert _functional(kind, X, c.expr) == ex.ZERO, str(c.expr)
             oracle = _svd_nullspace(rows, basis)
             assert res.nullspace_dim == len(oracle), (kind, len(basis))
             if res.nullspace_dim:

@@ -667,6 +667,22 @@ def test_compile_array_marks_domain_failures_non_finite():
         ex.compile_array([parse("u+v")], ("u",))
 
 
+def test_constants_past_the_float_range_are_limit_errors():
+    # the parser keeps 1e400 exactly; no float holds it, so every numeric
+    # route refuses it as bad input instead of overflowing
+    e = parse("1e400*u - 1e400*u^2")
+    with pytest.raises(ex.LimitError, match="^a constant is outside the float range$"):
+        evaluate(e, {"u": 1.0})
+    for compile_ in (ex.compile_fn, ex.compile_vector, ex.compile_columns, ex.compile_array):
+        with pytest.raises(ex.LimitError, match="outside the float range"):
+            compile_(e, ("u",)) if compile_ is ex.compile_fn else compile_([e], ("u",))
+    # a constant that rounds to zero is a float, and an overflow at a point
+    # stays a domain failure there
+    assert evaluate(parse("1e-400*u"), {"u": 1.0}) == 0.0
+    with pytest.raises(DomainError):
+        evaluate(parse("u^3"), {"u": 1e200})
+
+
 @pytest.mark.parametrize(
     "names",
     [("u", "zz=1/0"), ("u", "1x"), ("u", ""), ("u", "lambda"), ("u", "_exp"), ("u", "_s0"), ("u", "u")],

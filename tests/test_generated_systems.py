@@ -43,7 +43,7 @@ def _systems(count=24, seed=2015):
         h2 = random_polynomial(sampler, UVW, 1 + sampler.integer(2))
         m = MULTIPLIERS[k % len(MULTIPLIERS)]
         k += 1
-        G1, G2 = (gradient(ScalarField(h, UVW, "t")) for h in (h1, h2))
+        G1, G2 = (gradient(ScalarField(h, UVW)) for h in (h1, h2))
         X = scale(cross(G1, G2), ex.quot(ex.ONE, ex.parse(m)))
         nonzero = [i for i, c in enumerate(X.exprs()) if ex.expand(c) != ex.ZERO]
         if len(nonzero) < 2:

@@ -152,7 +152,7 @@ def test_chen_variant_conservation_inside_existence_window():
     d = cat.instantiate("chen-variant")
     h1 = d.bound_scalar(d.h1)
     h2 = d.bound_scalar(d.h2)
-    dh2dt = ScalarField(ex.differentiate(h2.expr, "t"), h2.frame, h2.time)
+    dh2dt = ScalarField(ex.differentiate(h2.expr, "t"), h2.frame)
     cfg = IntegratorConfig(t0=0.0, t1=2.0, y0=(0.1, 0.1, 0.1))
     traj = integrate(
         d.bound_field(),
@@ -359,7 +359,7 @@ def test_golden_qi_non_autonomous():
 def _chen_variant_quadrature():
     d = cat.instantiate("chen-variant")
     h2 = d.bound_scalar(d.h2)
-    dh2dt = ScalarField(ex.differentiate(h2.expr, "t"), h2.frame, h2.time)
+    dh2dt = ScalarField(ex.differentiate(h2.expr, "t"), h2.frame)
     return d, {"F1": d.bound_scalar(d.h1), "F2": h2}, {"int_dF2": dh2dt}
 
 

@@ -164,7 +164,7 @@ def test_flow_residual_is_x_minus_sigma_f():
     X, F = vf("u*(v+1)", "w", "exp(-t)*u"), vf("u*v", "-w", "1/(1+u^2)")
     for sigma in (1, -1):
         r = flow_residual(X, F, sigma)
-        assert tuple(map(ex.expand, r.exprs())) == vadd(X, scale(F, -sigma)).exprs()
+        assert tuple(map(ex.expand, r.exprs())) == vadd(X, scale(F, ex.con(-sigma))).exprs()
     assert tuple(map(ex.expand, flow_residual(X, X, 1).exprs())) == (ex.ZERO,) * 3
     with pytest.raises(FrameError):
         flow_residual(X, vf("x", "y", "z", frame=("x", "y", "z")), 1)

@@ -337,7 +337,7 @@ def _weighted_quotient_system():
     # the products of J1.curl(J2) and J2.curl(J1) stay below 1, so only a
     # scale taken from the residual's own terms keeps its roundoff under 1e-12
     h1, h2, m = "u*v*w + 1000*u^6", "sin(u) + w^3*exp(4*t)", "1+u^2"
-    G1, G2 = (gradient(ScalarField(parse(h), ("u", "v", "w"), "t")) for h in (h1, h2))
+    G1, G2 = (gradient(ScalarField(parse(h), ("u", "v", "w"))) for h in (h1, h2))
     X = scale(cross(G1, G2), ex.quot(ex.MINUS_ONE, parse(m)))
     return (
         "name = weighted-quotient\nframe = u v w\ntime = t\n"
