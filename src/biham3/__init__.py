@@ -11,6 +11,7 @@ from .expr import (
     EqualNumericResult,
     Expr,
     ExprError,
+    InputError,
     NonIntegerExponentError,
     ParseError,
     UnboundSymbolError,

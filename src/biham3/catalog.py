@@ -46,11 +46,12 @@ System file format (all expressions in the grammar of
 
 Each line under ``params`` is ``NAME`` (a free parameter) or
 ``NAME = EXPR`` (one pinned by a constraint); a name is an identifier
-that is neither a variable, a function name nor a key, declared once.  The
-time variable is ``t``: a frame (and a source frame) lists three distinct
-variables other than ``t``.  The line ``time = t``, which older files
-carry, is read and changes nothing; any other ``time`` is a format
-error.  ``multiplier`` defaults to 1,
+that is neither a variable, a function name nor a key, declared once.
+A formula, a constraint included, names the variables and the declared
+parameters only.  The time variable is ``t``: a frame (and a source
+frame) lists three distinct variables other than ``t``.  The line
+``time = t``, which older files carry, is read and changes nothing; any
+other ``time`` is a format error.  ``multiplier`` defaults to 1,
 ``orientation`` (+1, -1 or auto) to auto (determined by the verifier).
 Lines starting with ``#`` are comments.  Optional keys carry what the
 built-in entries record about the paper::
@@ -94,11 +95,11 @@ from .vecfield import FrameError, ScalarField, VectorField3, gradient, scale
 from .sampling import verification_box
 
 
-class ConstraintError(ex.ExprError):
+class ConstraintError(ex.InputError):
     pass
 
 
-class SystemFormatError(ex.ExprError):
+class SystemFormatError(ex.InputError):
     pass
 
 
@@ -538,17 +539,25 @@ def _frame(text, key):
     return frame
 
 
-def _parts(text, n, key):
-    """The ``n`` ';'-separated formulas of ``text`` (any number if n is None)."""
+def _parts(text, n, key, known):
+    """The ``n`` ';'-separated formulas of ``text`` (any number if n is
+    None), each naming nothing but the ``known`` names."""
     parts = text.split(";")
     if n is not None and len(parts) != n:
         raise SystemFormatError(
             f"{key} takes {n} formula{'s' if n > 1 else ''}, got {len(parts)} ';'-separated parts"
         )
-    return tuple(parse(s.strip()) for s in parts)
+    formulas = tuple(parse(s.strip()) for s in parts)
+    for e in formulas:
+        stray = sorted(e.free_symbols() - known)
+        if stray:
+            raise SystemFormatError(
+                f"{key} uses {stray[0]!r}, which is neither a variable nor a declared parameter"
+            )
+    return formulas
 
 
-def _change_of_variables(keys):
+def _change_of_variables(keys, known):
     """The ChangeOfVariables of the ``transform.*`` texts, keyed without the prefix."""
     unknown = [k for k in keys if k not in _TRANSFORM_KEYS]
     if unknown:
@@ -556,16 +565,19 @@ def _change_of_variables(keys):
     missing = [k for k in _TRANSFORM_KEYS[:4] if k not in keys]
     if missing:
         raise SystemFormatError(f"missing 'transform.{missing[0]}'")
-    triple = {k: _parts(keys[k], 3, f"transform.{k}") for k in _TRANSFORM_KEYS[1:4]}
-    rescale = {k: _parts(keys[k], 1, f"transform.{k}")[0] for k in _TRANSFORM_KEYS[4:] if k in keys}
+    triple = {k: _parts(keys[k], 3, f"transform.{k}", known) for k in _TRANSFORM_KEYS[1:4]}
+    rescale = {
+        k: _parts(keys[k], 1, f"transform.{k}", known)[0] for k in _TRANSFORM_KEYS[4:] if k in keys
+    }
     return ChangeOfVariables(_frame(keys["source_frame"], "transform.source_frame"), **triple, **rescale)
 
 
 def load_system(document):
-    """Parse the flat key-value system format into a SystemDef."""
+    """Parse the flat key-value system format into a SystemDef.  Every
+    formula may name the variables and the declared parameters only."""
     data = {}
     notes = []
-    params = []
+    params = {}  # name -> constraint text, or None for a free parameter
     in_params = False
     for lineno, raw in enumerate(document.splitlines(), 1):
         line = raw.strip()
@@ -590,9 +602,9 @@ def load_system(document):
                     f"line {lineno}: {key!r} is not a parameter name (an identifier "
                     "that is neither a variable nor a function name)"
                 )
-            if any(p.name == key for p in params):
+            if key in params:
                 raise SystemFormatError(f"line {lineno}: parameter {key!r} is declared twice")
-            params.append(ParamSpec(key, parse(value) if eq else None))
+            params[key] = value if eq else None
             continue
         raise SystemFormatError(f"line {lineno}: unrecognized line {line!r}")
 
@@ -602,11 +614,17 @@ def load_system(document):
     frame = _frame(data["frame"], "frame")
     if data.get("time", ex.TIME) != ex.TIME:
         raise SystemFormatError(f"time must be {ex.TIME}, got {data['time']!r}")
+    known = {*ex.VARIABLES, *params}
+    params = tuple(
+        ParamSpec(k, None if text is None else _parts(text, 1, f"parameter {k}", known)[0])
+        for k, text in params.items()
+    )
+    data.setdefault("multiplier", "1")
     try:
-        fld = VectorField3.from_exprs(_parts(data["field"], 3, "field"), frame)
+        fld = VectorField3.from_exprs(_parts(data["field"], 3, "field", known), frame)
         mult, h1, h2 = (
-            None if text is None else ScalarField(parse(text), frame)
-            for text in (data.get("multiplier", "1"), data.get("h1"), data.get("h2"))
+            ScalarField(_parts(data[key], 1, key, known)[0], frame) if key in data else None
+            for key in ("multiplier", "h1", "h2")
         )
     except FrameError as err:
         raise SystemFormatError(str(err)) from None
@@ -623,7 +641,7 @@ def load_system(document):
         raise SystemFormatError(f"orientation must be +1, -1 or auto, got {otext!r}")
 
     cov = {k[len("transform."):]: v for k, v in data.items() if k.startswith("transform.")}
-    transform = _change_of_variables(cov) if cov else None
+    transform = _change_of_variables(cov, known) if cov else None
     # the formulas verify.compare_printed has a derived counterpart for
     comparable = ["field"]
     if h1 is not None and h2 is not None:
@@ -640,17 +658,17 @@ def load_system(document):
                 f"{key} has nothing to be compared with; this system compares "
                 + ", ".join(f"printed.{k}" for k in comparable)
             )
-        parts = _parts(text, 3 if formula in _TRIPLES else 1, key)
+        parts = _parts(text, 3 if formula in _TRIPLES else 1, key, known)
         printed[formula] = parts if formula in _TRIPLES else parts[0]
 
     nonzero = data.get("requires_nonzero")
-    nonzero = () if nonzero is None else _parts(nonzero, None, "requires_nonzero")
+    nonzero = () if nonzero is None else _parts(nonzero, None, "requires_nonzero", known)
 
     return SystemDef(
         name=data["name"],
         description=data.get("description", "user-defined system"),
         frame=frame,
-        params=tuple(params),
+        params=params,
         field=fld,
         multiplier=mult,
         h1=h1,

@@ -5,10 +5,13 @@ checks, JSON report), ``simulate`` (trajectory CSV with conserved-
 quantity monitors), ``discover`` (integral/multiplier nullspace search,
 JSON report), ``bracket`` (one-off Poisson bracket evaluation).
 
-Exit codes: 0 success, 1 check failure, integration abort or a reader
-that closed stdout early, 2 usage error.  The environment variable
-``BIHAM3_SEED`` overrides the default sampling seed of ``verify`` and
-``discover``.
+Exit codes follow the class of the error alone.  Refused input of any
+kind (options, expression text, system files, sizes past a limit)
+raises ``expr.InputError`` and exits 2.  A check failure, an
+integration abort, a search that cannot decide, an evaluation failure
+or a reader that closed stdout early exits 1; success exits 0.  The
+environment variable ``BIHAM3_SEED`` overrides the default sampling
+seed of ``verify`` and ``discover``.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from .discover import (
     build_basis,
     first_integral_search,
     multiplier_search,
-    sample_count,
     spatial_invariant_search,
 )
-from .integrate import IntegratorConfig, IntegrationError, integrate
+from .integrate import IntegratorConfig, integrate
 from .poisson import poisson_bracket
-from .vecfield import FrameError, ScalarField, VectorField3
+from .vecfield import ScalarField, VectorField3
 from .verify import SampleConfig, verify_structure
 
 
@@ -42,7 +44,7 @@ def _default_seed():
         try:
             return int(env)
         except ValueError:
-            raise _Usage(f"BIHAM3_SEED must be an integer, got {env!r}")
+            raise ex.InputError(f"BIHAM3_SEED must be an integer, got {env!r}")
     return 42
 
 
@@ -50,17 +52,15 @@ def _parse_params(pairs):
     out = {}
     for p in pairs or ():
         if "=" not in p:
-            raise _Usage(f"--param expects name=value, got {p!r}")
+            raise ex.InputError(f"--param expects name=value, got {p!r}")
         k, v = p.split("=", 1)
         try:
             out[k.strip()] = ex.number(v)
         except ex.ParseError as err:
-            raise _Usage(f"--param {k.strip()}: {err}")
+            # the same error, named after its option
+            err.args = (f"--param {k.strip()}: {err}",)
+            raise
     return out
-
-
-class _Usage(Exception):
-    pass
 
 
 def _resolve_system(spec, params):
@@ -70,7 +70,7 @@ def _resolve_system(spec, params):
         with open(spec, "r", encoding="utf-8") as fh:
             defn = cat.load_system(fh.read())
         return cat.instantiate(defn, params)
-    raise _Usage(
+    raise ex.InputError(
         f"{spec!r} is neither a built-in system ({', '.join(cat.BUILTIN_NAMES)}) "
         "nor a readable file"
     )
@@ -99,10 +99,7 @@ def _cmd_catalog(args):
 
 def _cmd_verify(args):
     defn = _resolve_system(args.system, _parse_params(args.param))
-    try:
-        cfg = SampleConfig(n=args.samples, seed=args.seed, tol=args.tol)
-    except ValueError as err:
-        raise _Usage(str(err))
+    cfg = SampleConfig(n=args.samples, seed=args.seed, tol=args.tol)
     report = verify_structure(defn, cfg)
     _write(report.to_json(deterministic=args.deterministic), args.out)
     return 0 if report.passed() else 1
@@ -113,9 +110,9 @@ def _cmd_simulate(args):
     try:
         init = tuple(float(s) for s in args.init.split(","))
     except ValueError:
-        raise _Usage(f"--init expects three comma-separated numbers, got {args.init!r}")
+        raise ex.InputError(f"--init expects three comma-separated numbers, got {args.init!r}")
     if len(init) != 3:
-        raise _Usage("--init expects exactly three values")
+        raise ex.InputError("--init expects exactly three values")
 
     monitors = {}
     for name in filter(None, (args.monitors or "").split(",")):
@@ -125,22 +122,19 @@ def _cmd_simulate(args):
         elif key == "h2" and defn.h2 is not None:
             monitors["H2"] = defn.bound_scalar(defn.h2)
         else:
-            raise _Usage(f"unknown or unavailable monitor {name!r}")
+            raise ex.InputError(f"unknown or unavailable monitor {name!r}")
 
-    try:
-        cfg = IntegratorConfig(
-            t0=args.t0,
-            t1=args.t1,
-            y0=init,
-            method=args.method,
-            step=args.step,
-            rtol=args.tol,
-            atol=args.tol,
-            max_step=args.max_step,
-            sample_dt=args.sample_dt,
-        )
-    except IntegrationError as err:
-        raise _Usage(str(err))
+    cfg = IntegratorConfig(
+        t0=args.t0,
+        t1=args.t1,
+        y0=init,
+        method=args.method,
+        step=args.step,
+        rtol=args.tol,
+        atol=args.tol,
+        max_step=args.max_step,
+        sample_dt=args.sample_dt,
+    )
     traj = integrate(defn.bound_field(), cfg, monitors=monitors)
     # streamed a block of rows at a time, never held as one string
     if args.out:
@@ -162,7 +156,7 @@ def _cmd_discover(args):
             lo, hi = args.weights.split("..")
             weights = range(int(lo), int(hi) + 1)
         except ValueError:
-            raise _Usage(f"--weights expects kmin..kmax, got {args.weights!r}")
+            raise ex.InputError(f"--weights expects kmin..kmax, got {args.weights!r}")
     rate = None
     if weights is not None:
         if args.rate:
@@ -172,20 +166,14 @@ def _cmd_discover(args):
         else:
             rate = ex.ONE
         rate = defn.bound_expr(rate)
-    try:
-        basis = build_basis(args.degree, defn.frame, weights=weights, rate=rate)
-        if args.functional != "multiplier" and len(basis) < 2:
-            raise _Usage("basis must have at least two elements")
-        n = sample_count(len(basis), args.samples)
-    except DiscoveryError as err:
-        raise _Usage(str(err))
+    basis = build_basis(args.degree, defn.frame, weights=weights, rate=rate)
     X = defn.bound_field()
     search = {
         "total": first_integral_search,
         "spatial": spatial_invariant_search,
         "multiplier": multiplier_search,
     }[args.functional]
-    result = search(X, basis, n=n, seed=args.seed)
+    result = search(X, basis, n=args.samples, seed=args.seed)
     known = [defn.bound_scalar(h) for h in (defn.h1, defn.h2) if h is not None]
     if known:
         result = annotate(result, known)
@@ -196,34 +184,31 @@ def _cmd_discover(args):
 def _cmd_bracket(args):
     exprs = [ex.parse(s.strip()) for s in args.j.split(";")]
     if len(exprs) != 3:
-        raise _Usage("--j expects three ';'-separated components")
+        raise ex.InputError("--j expects three ';'-separated components")
     f_expr = ex.parse(args.f)
     h_expr = ex.parse(args.h)
     syms = set()
     for e in exprs + [f_expr, h_expr]:
         syms |= e.free_symbols()
     frame = ("x", "y", "z") if (syms & {"x", "y", "z"} and not syms & {"u", "v", "w"}) else ("u", "v", "w")
-    try:
-        J = VectorField3.from_exprs(exprs, frame)
-        F = ScalarField(f_expr, frame)
-        H = ScalarField(h_expr, frame)
-    except FrameError as err:
-        raise _Usage(str(err))
+    J = VectorField3.from_exprs(exprs, frame)
+    F = ScalarField(f_expr, frame)
+    H = ScalarField(h_expr, frame)
     bracket = poisson_bracket(F, H, J)
     print(bracket.expr)
     if args.at:
         point = {}
         for item in args.at.split(","):
             if "=" not in item:
-                raise _Usage(f"--at expects name=value pairs, got {item!r}")
+                raise ex.InputError(f"--at expects name=value pairs, got {item!r}")
             k, v = (s.strip() for s in item.split("=", 1))
             try:
                 point[k] = float(v)
             except ValueError:
-                raise _Usage(f"--at expects numeric values, got {item!r}")
+                raise ex.InputError(f"--at expects numeric values, got {item!r}")
         unbound = bracket.expr.free_symbols() - set(point)
         if unbound:
-            raise _Usage(f"--at gives no value for {', '.join(sorted(unbound))}")
+            raise ex.InputError(f"--at gives no value for {', '.join(sorted(unbound))}")
         try:
             print(f"= {ex.evaluate(bracket.expr, point):.17g}")
         except ex.DomainError as err:
@@ -307,13 +292,10 @@ def main(argv=None):
         if "seed" in args and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except _Usage as err:
+    except ex.InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (cat.ConstraintError, cat.SystemFormatError, ex.ParseError, ex.LimitError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (DiscoveryError, IntegrationError, ex.ExprError) as err:
+    except (DiscoveryError, ex.ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -26,7 +26,9 @@ function) can be dependent, as ``sin(u)^2`` and ``cos(u)^2`` are, and
 then the term equations could miss a solution: the functional
 is evaluated at seeded points, one SVD with a relative singular-value
 threshold must show the same nullity, and the method is "sampled".  A
-nullity that differs raises DiscoveryError.
+nullity that differs raises DiscoveryError: the search cannot decide.
+A basis or a sample count that no search takes is refused with
+``expr.InputError`` before any row is built.
 
 Candidates are the reduced row echelon basis of the nullspace in exact
 rationals (leading coefficient 1, zero at the other candidates' leading
@@ -55,20 +57,20 @@ MAX_ENTRIES = 10**7  # entries of one search's sample matrix, points x basis siz
 
 
 class DiscoveryError(Exception):
-    pass
+    """The sampled nullity check failed: the search cannot decide."""
 
 
 def sample_count(size, n=None):
     """The number of points a search over ``size`` basis elements samples:
-    ``n``, or ``max(3*size, 200)`` when n is None.  Raises DiscoveryError
-    when that is fewer than ``3*size`` or when the sample matrix would
-    have more than MAX_ENTRIES entries."""
+    ``n``, or ``max(3*size, 200)`` when n is None.  Raises InputError
+    when that is fewer than ``3*size`` and LimitError when the sample
+    matrix would have more than MAX_ENTRIES entries."""
     if n is None:
         n = max(3 * size, 200)
     if n < 3 * size:
-        raise DiscoveryError(f"need at least 3*|basis| = {3 * size} sample points, got {n}")
+        raise ex.InputError(f"need at least 3*|basis| = {3 * size} sample points, got {n}")
     if n * size > MAX_ENTRIES:
-        raise DiscoveryError(
+        raise ex.LimitError(
             f"a search over {size} basis elements at {n} points needs {n * size} "
             f"sample-matrix entries, more than the limit of {MAX_ENTRIES}"
         )
@@ -103,12 +105,12 @@ def build_basis(degree, frame, weights=None, rate=None):
     weight); duplicates removed.  A basis that no search could sample
     within MAX_ENTRIES is refused before it is built."""
     if degree < 0:
-        raise DiscoveryError("degree must be >= 0")
+        raise ex.InputError("degree must be >= 0")
     kset = (0,) if weights is None else weights
     if not kset:
-        raise DiscoveryError("weights must list at least one k")
+        raise ex.InputError("weights must list at least one k")
     if weights is not None and rate is None:
-        raise DiscoveryError("weights need a rate expression")
+        raise ex.InputError("weights need a rate expression")
     # sized before it is iterated, so a huge range is refused unbuilt
     sample_count(math.comb(degree + 3, 3) * len(kset))
     kset = tuple(kset)
@@ -314,8 +316,10 @@ def _nullity_check(rows, basis, n, seed, nullity):
 
 
 def _search(kind, basis, rows, n, seed):
+    """The search over ``basis`` whose functional rows ``rows()`` builds,
+    called once the sample count is known to be valid."""
     n = sample_count(len(basis), n)
-    rows = ex.clear_denominators(rows)
+    rows = ex.clear_denominators(rows())
     vectors, equations, exact = _exact_nullspace(rows)
     svals = () if exact else _nullity_check(rows, basis, n, seed, len(vectors))
     return DiscoveryResult(
@@ -337,9 +341,8 @@ def first_integral_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
     The constants are always a solution, so the dimension is at least 1.
     """
     if len(basis) < 2:
-        raise DiscoveryError("basis must have at least two elements")
-    rows = _derivative_rows(X, basis, total=True)
-    return _search("first-integral", basis, rows, n, seed)
+        raise ex.InputError("basis must have at least two elements")
+    return _search("first-integral", basis, lambda: _derivative_rows(X, basis, True), n, seed)
 
 
 def spatial_invariant_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
@@ -354,9 +357,8 @@ def spatial_invariant_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=4
     time-dependent weight qualifies), so expect extra candidates.
     """
     if len(basis) < 2:
-        raise DiscoveryError("basis must have at least two elements")
-    rows = _derivative_rows(X, basis, total=False)
-    return _search("spatial-invariant", basis, rows, n, seed)
+        raise ex.InputError("basis must have at least two elements")
+    return _search("spatial-invariant", basis, lambda: _derivative_rows(X, basis, False), n, seed)
 
 
 def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
@@ -366,9 +368,8 @@ def multiplier_search(X: VectorField3, basis: AnsatzBasis, n=None, seed=42):
     since a last multiplier must stay away from zero.
     """
     if len(basis) < 1:
-        raise DiscoveryError("basis must not be empty")
-    rows = _multiplier_rows(X, basis)
-    result = _search("multiplier", basis, rows, n, seed)
+        raise ex.InputError("basis must not be empty")
+    result = _search("multiplier", basis, lambda: _multiplier_rows(X, basis), n, seed)
     box = _default_domain(basis.frame)
     names, pts = sample_box(SeededSampler(result.seed + 2), box, 500)
     B = ex.compile_array([b.expr for b in basis.elements], names)(pts)

@@ -76,7 +76,13 @@ class ExprError(Exception):
     """Base class for expression-layer failures."""
 
 
-class ParseError(ExprError):
+class InputError(ExprError):
+    """Input the program refuses: text, files, options or sizes.  Every
+    biham3 error that means "bad input" derives from it, and the CLI
+    exits 2 on it and on nothing else."""
+
+
+class ParseError(InputError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
@@ -86,7 +92,7 @@ class NonIntegerExponentError(ParseError):
     pass
 
 
-class LimitError(ExprError):
+class LimitError(InputError):
     """An expression past MAX_EXPONENT or MAX_TERMS, or a constant that
     no float holds."""
 
@@ -155,35 +161,6 @@ class Expr:
 
     def children(self):
         return ()
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return quot(self, other)
-
-    def __rtruediv__(self, other):
-        return quot(other, self)
-
-    def __pow__(self, n):
-        return pow_(self, n)
-
-    def __neg__(self):
-        return neg(self)
 
     def __str__(self):
         return to_text(self)

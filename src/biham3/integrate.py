@@ -113,8 +113,8 @@ MIN_STEP = 1e-13  # an adaptive step below this aborts the run
 _BLOCK = 1024  # rows per block of the monitors and of Trajectory.to_csv
 
 
-class IntegrationError(Exception):
-    pass
+class IntegrationError(ex.InputError):
+    """An IntegratorConfig that no run could follow."""
 
 
 @dataclass(frozen=True)
@@ -442,6 +442,9 @@ def _time_grid(cfg):
 #   stage/update/error sums  sum(c[j] * K[j][i] for j)  ->  0.0 + c0 * k0_i + ...
 #     (sum() starts from the integer 0, which becomes 0.0 at the first float)
 #   error norm               err = 0.0; err += (e / sc) ** 2 per component
+#                            (inf once |e / sc| >= 1e150, below the square
+#                            that ** 2 refuses with OverflowError; either
+#                            way the step is rejected, with the same factor)
 #   min(a, b), max(a, b)     b if b < a else a, b if b > a else a
 #
 # Terms with a zero coefficient are left out: the 0.0 * k products of the
@@ -535,7 +538,8 @@ def _dopri_source(dim):
             f"e = h * ({_combo(_E, [k[j][i] for j in range(7)])})",
             f"a = abs({ys[i]})",
             f"b = abs({n[i]})",
-            f"s_{i} = (e / (atol + rtol * (b if b > a else a))) ** 2",
+            "q = e / (atol + rtol * (b if b > a else a))",
+            f"s_{i} = q ** 2 if -1e150 < q < 1e150 else _INF",
         )
     put(
         2,

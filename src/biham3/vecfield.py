@@ -17,7 +17,7 @@ from . import expr as ex
 from .expr import Expr, expand
 
 
-class FrameError(ex.ExprError):
+class FrameError(ex.InputError):
     pass
 
 

@@ -60,6 +60,7 @@ PENCIL_COEFFICIENTS = (-10, -1, "-0.3", "0.3", 1, 10)
 MULTIPLIER_FLOOR = 1e-9
 FI_TOL = 1e-8  # relative tolerance of the sampled fundamental identity
 MAX_SAMPLES = 10**6  # sample points of one run, the cap of integrate.MAX_POINTS
+_BLOCK = 8192  # sample points whose term columns a sampled check holds at once
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,11 @@ class SampleConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"sample count must be at least 1, got {self.n}")
+            raise ex.InputError(f"sample count must be at least 1, got {self.n}")
         if self.n > MAX_SAMPLES:
-            raise ValueError(f"sample count must be at most {MAX_SAMPLES}, got {self.n}")
+            raise ex.LimitError(f"sample count must be at most {MAX_SAMPLES}, got {self.n}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
+            raise ex.InputError(f"tol must be finite and non-negative, got {self.tol}")
 
 
 @dataclass
@@ -238,18 +239,24 @@ def _decide(name, residuals, points, tol):
     residual is the left-to-right sum of its columns (the order of the
     compiled sum, so its values are those of the whole residual), and
     the relative residual divides by one plus the largest term magnitude
-    of the group at that point."""
+    of the group at that point.  Both are per point, so the columns are
+    evaluated _BLOCK points at a time."""
     residuals = [ex.expand(r) for r in residuals]
     if all(map(ex.is_zero, residuals)):
         return CheckResult(name, 0, 0.0, 0.0, 0.0, tol, True, "exact")
     names, pts = points()
     groups = [terms(r) for r in residuals]
-    T = ex.compile_array([t for ts in groups for t in ts], names)(pts)
-    columns = iter(T.T)
-    R = np.abs(
-        np.column_stack([functools.reduce(operator.add, islice(columns, len(ts))) for ts in groups])
-    )
-    rel = (R / (1.0 + np.abs(T).max(axis=1))[:, None]).max(axis=1)
+    columns_at = ex.compile_array([t for ts in groups for t in ts], names)
+    R = np.empty((len(pts), len(groups)))
+    scale = np.empty(len(pts))
+    for a in range(0, len(pts), _BLOCK):
+        T = columns_at(pts[a : a + _BLOCK])
+        columns = iter(T.T)
+        R[a : a + _BLOCK] = np.abs(
+            np.column_stack([functools.reduce(operator.add, islice(columns, len(ts))) for ts in groups])
+        )
+        scale[a : a + _BLOCK] = 1.0 + np.abs(T).max(axis=1)
+    rel = (R / scale[:, None]).max(axis=1)
     i = int(np.argmax(rel))
     max_rel = float(rel[i])
     rms = float(np.sqrt(np.mean(R * R)))

@@ -352,6 +352,31 @@ def test_load_rejects_malformed_documents(doc, message):
 
 
 @pytest.mark.parametrize(
+    "doc,key",
+    [
+        (SYSTEM.replace("field = v", "field = beta*v"), "field"),
+        (SYSTEM + "multiplier = 1 + beta^2\n", "multiplier"),
+        (SYSTEM.replace("h1 = u^2", "h1 = beta*u^2"), "h1"),
+        (SYSTEM.replace("h2 = w", "h2 = beta*w"), "h2"),
+        (SYSTEM + "params\n    alpha = 2*beta\n", "parameter alpha"),
+        (SYSTEM + "requires_nonzero = 1 ; beta\n", "requires_nonzero"),
+        (SYSTEM + "printed.H1 = beta\n", "printed.H1"),
+        (SYSTEM + TRANSFORM.replace("= y ; -x", "= beta*y ; -x"), "transform.source_field"),
+        (SYSTEM + TRANSFORM + "transform.time_rescale = beta*t\n", "transform.time_rescale"),
+    ],
+    ids=["field", "multiplier", "h1", "h2", "constraint", "requires-nonzero", "printed", "transform",
+         "time-rescale"],
+)
+def test_load_refuses_an_undeclared_parameter(doc, key):
+    with pytest.raises(cat.SystemFormatError, match=re.escape(
+        f"{key} uses 'beta', which is neither a variable nor a declared parameter"
+    )):
+        cat.load_system(doc)
+    # declared, the same name loads
+    cat.load_system(doc.replace("frame = u v w\n", "frame = u v w\nparams\n    beta\n"))
+
+
+@pytest.mark.parametrize(
     "doc,message",
     [
         (SYSTEM + "time = x\n", "time must be t, got 'x'"),

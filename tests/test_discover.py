@@ -61,7 +61,7 @@ def test_basis_deduplicates_zero_weight():
 
 
 def test_basis_requires_rate_with_weights():
-    with pytest.raises(DiscoveryError):
+    with pytest.raises(ex.InputError):
         build_basis(2, UVW, weights=(-1, 0))
 
 
@@ -186,19 +186,19 @@ def test_scale_invariance_of_nullspace():
 
 def test_preconditions():
     d = cat.instantiate("lu-transformed")
-    with pytest.raises(DiscoveryError):
+    with pytest.raises(ex.InputError):
         first_integral_search(d.bound_field(), build_basis(0, UVW))
-    with pytest.raises(DiscoveryError):
+    with pytest.raises(ex.InputError):
         first_integral_search(d.bound_field(), build_basis(2, UVW), n=10)
     X = VectorField3.from_exprs([parse("ln(u)"), parse("v"), parse("w")], UVW)
     with pytest.raises(DiscoveryError, match="not finite"):
         first_integral_search(X, build_basis(1, UVW))
-    with pytest.raises(DiscoveryError, match="at least one k"):
+    with pytest.raises(ex.InputError, match="at least one k"):
         build_basis(2, UVW, weights=(), rate="1")
     # the size bound holds before a basis is built or a point is drawn
-    with pytest.raises(DiscoveryError, match="more than the limit of 10000000"):
+    with pytest.raises(ex.LimitError, match="more than the limit of 10000000"):
         build_basis(30, UVW)
-    with pytest.raises(DiscoveryError, match="more than the limit"):
+    with pytest.raises(ex.LimitError, match="more than the limit"):
         first_integral_search(d.bound_field(), build_basis(2, UVW), n=10**6 + 1)
 
 
@@ -213,7 +213,7 @@ class _HugeWeights:
 
 
 def test_weights_are_sized_before_they_are_iterated():
-    with pytest.raises(DiscoveryError, match="a search over 100000000010 basis elements"):
+    with pytest.raises(ex.LimitError, match="a search over 100000000010 basis elements"):
         build_basis(2, UVW, weights=_HugeWeights(), rate=ex.con(1))
 
 

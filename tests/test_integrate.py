@@ -265,6 +265,15 @@ def test_step_underflow_aborts_with_partial_trajectory():
     assert all(math.isfinite(c) for s in traj.states for c in s)
 
 
+def test_an_error_ratio_past_the_float_range_rejects_the_step():
+    # e / (atol + rtol*|y|) near 1e297: its square is no float, the step is
+    # rejected and shrinks until it underflows
+    cfg = IntegratorConfig(t0=0.0, t1=0.2, y0=(1.0, 1.0, 1.0), rtol=1e-300, atol=1e-300)
+    traj = integrate(cat.instantiate("qi", gamma=2).bound_field(), cfg)
+    assert traj.aborted.startswith("step size underflow at t=0 ")
+    assert traj.accepted == 0 and traj.rejected > 0
+
+
 def test_config_validation():
     with pytest.raises(IntegrationError):
         IntegratorConfig(t0=1.0, t1=0.0, y0=(0, 0, 0))

@@ -102,7 +102,7 @@ def test_orientation_diagnosis_for_published_lu_field():
 
 def test_sample_config_caps_the_sample_count():
     assert SampleConfig(n=verify.MAX_SAMPLES).n == 10**6
-    with pytest.raises(ValueError, match="sample count must be at most 1000000, got 1000001"):
+    with pytest.raises(ex.LimitError, match="sample count must be at most 1000000, got 1000001"):
         SampleConfig(n=10**6 + 1)
 
 
@@ -417,3 +417,27 @@ def test_reports_are_strict_json():
     unfinite = {c["name"] for c in report["checks"] if c["max_rel"] is None}
     assert {"biham", "nambu", "orthogonality"} <= unfinite
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "defn",
+    [
+        flipped_sign_variant(cat.instantiate("modified-lu"), 1),
+        cat.load_system(
+            "name = pythagoras\nframe = u v w\nfield = (sin(u)^2+cos(u)^2)*v ; -u*w ; u*v\n"
+            "h1 = 1/2*(v^2+w^2)\nh2 = 1/2*u^2 - w\n"
+        ),
+        cat.load_system(
+            "name = undefined\nframe = u v w\nfield = v ; -u ; ln(u)\nh1 = u^2+v^2\nh2 = w\n"
+        ),
+    ],
+    ids=["flipped", "pythagoras", "undefined"],
+)
+def test_sampled_checks_are_the_same_in_blocks(monkeypatch, defn):
+    # each statistic of a sampled check is per point or over all points,
+    # so evaluating the term columns a few points at a time changes no byte
+    cfg = SampleConfig(n=50)
+    whole = verify_structure(defn, cfg).to_json(deterministic=True)
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    assert verify_structure(defn, cfg).to_json(deterministic=True) == whole
+    assert '"method": "sampled"' in whole
